@@ -7,7 +7,15 @@
 // with programmatic qrels, TriniT against three baselines. The absolute
 // numbers differ (different KG, different judges); the *shape* — TriniT
 // far ahead of every non-relaxing system — is the reproduction target.
+//
+//   ./build/bench/bench_e1_ndcg [out.json]   (default: BENCH_E1.json)
+//
+// Writes every system's quality metrics (deterministic; no wall-times)
+// and exits 1 when answer quality regresses: TriniT NDCG@5 below
+// kMinRatio x the next best system, or more than kNdcg5Slack below the
+// committed kPinnedNdcg5.
 
+#include <algorithm>
 #include <cstdio>
 
 #include "baselines/exact_engine.h"
@@ -18,8 +26,22 @@
 #include "util/string_util.h"
 #include "util/table.h"
 
-int main() {
+namespace {
+
+// TriniT NDCG@5 on this workload, as printed and committed in
+// BENCH_E1.json. Code deletions must not cost answer quality: a run
+// more than kNdcg5Slack below it fails.
+constexpr double kPinnedNdcg5 = 0.690;
+constexpr double kNdcg5Slack = 0.01;
+// The paper's shape: TriniT well ahead of the next best system.
+constexpr double kMinRatio = 1.5;
+
+}  // namespace
+
+int main(int argc, char** argv) {
   using namespace trinit;
+  const char* out_path =
+      bench::ParseBenchArgs(argc, argv, "BENCH_E1.json").out_path;
 
   std::printf("[E1] NDCG@5 on 70 entity-relationship queries\n\n");
 
@@ -40,15 +62,12 @@ int main() {
   eval::WorkloadGenerator::Options wopts;
   wopts.num_queries = 70;
   eval::Workload workload = eval::WorkloadGenerator::Generate(world, wopts);
+  size_t judged = 0;
+  for (const auto& q : workload.queries) {
+    judged += workload.qrels.RelevantCount(q.id);
+  }
   std::printf("workload: %zu queries, %zu judged answers\n\n",
-              workload.queries.size(),
-              [&] {
-                size_t n = 0;
-                for (const auto& q : workload.queries) {
-                  n += workload.qrels.RelevantCount(q.id);
-                }
-                return n;
-              }());
+              workload.queries.size(), judged);
 
   // All four systems ride the unified core::Engine interface: each row
   // is a display name + engine pointer, parsing and key extraction are
@@ -84,14 +103,58 @@ int main() {
   }
   std::printf("%s\n", archetypes.ToString().c_str());
 
-  double ratio = reports[0].ndcg5 /
-                 std::max({reports[1].ndcg5, reports[2].ndcg5,
-                           reports[3].ndcg5, 1e-9});
+  const double next_best =
+      std::max({reports[1].ndcg5, reports[2].ndcg5, reports[3].ndcg5});
+  const double ratio = reports[0].ndcg5 / std::max(next_best, 1e-9);
   std::printf("paper: TriniT 0.775 vs next best 0.419 (1.85x). "
               "measured: %.3f vs %.3f (%.2fx next best).\n",
-              reports[0].ndcg5,
-              std::max({reports[1].ndcg5, reports[2].ndcg5,
-                        reports[3].ndcg5}),
-              ratio);
+              reports[0].ndcg5, next_best, ratio);
+
+  const bool ratio_ok = ratio >= kMinRatio;
+  const bool ndcg5_ok = reports[0].ndcg5 >= kPinnedNdcg5 - kNdcg5Slack;
+
+  FILE* json = std::fopen(out_path, "w");
+  if (json == nullptr) {
+    std::fprintf(stderr, "cannot open %s\n", out_path);
+    return 1;
+  }
+  std::fprintf(json,
+               "{\n  \"bench\": \"e1_ndcg\",\n  \"queries\": %zu,\n"
+               "  \"judged_answers\": %zu,\n  \"systems\": [\n",
+               workload.queries.size(), judged);
+  for (size_t i = 0; i < reports.size(); ++i) {
+    const auto& r = reports[i];
+    std::fprintf(json,
+                 "    {\"system\": \"%s\", \"ndcg5\": %.6f, "
+                 "\"ndcg10\": %.6f, \"map\": %.6f, \"p1\": %.6f, "
+                 "\"mrr\": %.6f, \"answered\": %.6f}%s\n",
+                 bench::JsonEscape(r.name).c_str(), r.ndcg5, r.ndcg10, r.map,
+                 r.p1, r.mrr, r.answered,
+                 i + 1 < reports.size() ? "," : "");
+  }
+  std::fprintf(json,
+               "  ],\n  \"totals\": {\"trinit_ndcg5\": %.6f, "
+               "\"next_best_ndcg5\": %.6f, \"ratio\": %.6f, "
+               "\"pinned_ndcg5\": %.3f, \"ratio_ok\": %s, "
+               "\"ndcg5_ok\": %s}\n}\n",
+               reports[0].ndcg5, next_best, ratio, kPinnedNdcg5,
+               ratio_ok ? "true" : "false", ndcg5_ok ? "true" : "false");
+  std::fclose(json);
+  std::printf("wrote %s\n", out_path);
+
+  if (!ratio_ok) {
+    std::fprintf(stderr,
+                 "E1 REGRESSION: TriniT NDCG@5 is %.2fx the next best "
+                 "(< %.1fx)\n",
+                 ratio, kMinRatio);
+    return 1;
+  }
+  if (!ndcg5_ok) {
+    std::fprintf(stderr,
+                 "E1 REGRESSION: TriniT NDCG@5 %.3f is more than %.2f "
+                 "below the pinned %.3f\n",
+                 reports[0].ndcg5, kNdcg5Slack, kPinnedNdcg5);
+    return 1;
+  }
   return 0;
 }

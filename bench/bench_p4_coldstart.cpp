@@ -198,7 +198,7 @@ int main(int argc, char** argv) {
   if (!storage::SnapshotWriter::Write(
            tsv_engine->xkg(), tsv_engine->rules(),
            tsv_engine->serving_cache().generation(), varint_path,
-           {storage::SectionCodec::kVarintDelta, storage::kSnapshotVersion})
+           {storage::SectionCodec::kVarintDelta})
            .ok()) {
     std::fprintf(stderr, "varint snapshot save failed\n");
     return 1;

@@ -48,14 +48,11 @@ using trinit::core::Trinit;
 
 void PrintStats(const Trinit& engine) {
   const auto& xkg = engine.xkg();
-  const auto* sharded = xkg.sharded();
   std::printf("XKG: %zu triples (%zu KG + %zu extraction), %zu terms, "
-              "%zu relaxation rules, %zu shard%s\n",
+              "%zu relaxation rules\n",
               xkg.store().size(), xkg.kg_triple_count(),
               xkg.extraction_triple_count(), xkg.dict().size(),
-              engine.rules().size(),
-              sharded == nullptr ? size_t{1} : sharded->shard_count(),
-              sharded == nullptr ? " (unsharded)" : "s");
+              engine.rules().size());
 }
 
 void PrintCache(const Trinit& engine) {
@@ -269,12 +266,9 @@ int main(int argc, char** argv) {
       last_result.reset();
       last_query.reset();
       std::printf("  snapshot loaded: %zu terms, %zu triples, %zu rules, "
-                  "%zu score shapes pre-built, %zu index rebuilds, "
-                  "%zu shard%s\n",
+                  "%zu score shapes pre-built, %zu index rebuilds\n",
                   report.terms, report.triples, report.rules,
-                  report.score_shapes_restored, report.index_rebuilds,
-                  report.shard_count == 0 ? size_t{1} : report.shard_count,
-                  report.shard_count == 0 ? " (unsharded)" : "s");
+                  report.score_shapes_restored, report.index_rebuilds);
       std::printf("  load mode: %s%s, sections %zu mapped / %zu decoded, "
                   "codecs %zu raw / %zu varint\n",
                   report.mapped ? "mmap" : "copy",

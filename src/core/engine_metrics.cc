@@ -13,7 +13,7 @@ const std::vector<double> kLatencyBoundsMs = {0.05, 0.1, 0.25, 0.5,  1.0,
                                               100.0, 250.0, 500.0, 1000.0};
 
 /// Sort latency of one first-touch score-shape build (smaller worlds
-/// sort in microseconds; sharded builds of big worlds take longer).
+/// sort in microseconds; builds over big worlds take longer).
 const std::vector<double> kSortBoundsMs = {0.01, 0.05, 0.1, 0.5, 1.0,
                                            5.0,  10.0, 50.0, 100.0};
 
@@ -26,10 +26,6 @@ const std::vector<double> kPullBounds = {0, 4,    16,   64,   256,
 /// 10 = three orders of magnitude.
 const std::vector<double> kCardinalityErrorBounds = {0.5, 1, 2, 3, 4,
                                                      6,   8, 10};
-
-/// Hottest-shard share of a scattered request's pulls, in [0, 1].
-const std::vector<double> kShareBounds = {0.25, 0.375, 0.5,  0.625,
-                                          0.75, 0.875, 1.0};
 
 }  // namespace
 
@@ -105,13 +101,6 @@ EngineMetrics EngineMetrics::Register(obs::MetricsRegistry& registry) {
   m.shape_sort_ms = registry.RegisterHistogram(
       "trinit_rdf_score_shape_sort_ms",
       "First-touch score-shape sort latency (ms).", kSortBoundsMs);
-  m.scatter_requests = registry.RegisterCounter(
-      "trinit_shard_scatter_requests_total",
-      "Requests scattered across XKG shards.");
-  m.shard_hottest_share = registry.RegisterHistogram(
-      "trinit_shard_hottest_share",
-      "Hottest shard's fraction of a scattered request's pulls.",
-      kShareBounds);
 
   m.open_ms = registry.RegisterHistogram(
       "trinit_storage_open_ms", "Snapshot open latency (ms).",

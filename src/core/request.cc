@@ -1,7 +1,5 @@
 #include "core/request.h"
 
-#include <algorithm>
-
 #include "query/parser.h"
 
 namespace trinit::core {
@@ -96,21 +94,6 @@ void AppendRunStatsCounters(
   add("plan_cache_hits", static_cast<double>(stats.plan_cache_hits));
   add("plan_cache_misses", static_cast<double>(stats.plan_cache_misses));
   add("deadline_hit", stats.deadline_hit ? 1.0 : 0.0);
-  // Scatter-gather balance, emitted *uniformly* (PR 10): an unsharded
-  // run is one shard that pulled everything, so the key set of a trace
-  // is identical at any shard count. (Pre-PR-10 these two keys appeared
-  // only for sharded runs.)
-  if (stats.per_shard_pulled.size() > 1) {
-    add("shards", static_cast<double>(stats.per_shard_pulled.size()));
-    size_t max_pulled = 0;
-    for (size_t pulled : stats.per_shard_pulled) {
-      max_pulled = std::max(max_pulled, pulled);
-    }
-    add("shard_pulls_max", static_cast<double>(max_pulled));
-  } else {
-    add("shards", 1.0);
-    add("shard_pulls_max", static_cast<double>(stats.items_pulled));
-  }
 }
 
 void AppendServingStatsCounters(

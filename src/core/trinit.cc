@@ -53,9 +53,6 @@ Trinit::Trinit(xkg::Xkg xkg, TrinitOptions options,
 }
 
 Result<Trinit> Trinit::Open(xkg::Xkg xkg, TrinitOptions options) {
-  // Partition before construction so every sub-component (and the
-  // miners below) sees the final, merged statistics.
-  xkg.InstallSharding(options.shard_count);
   // The options are stored exactly once; the miner setup below reads the
   // engine's copy so the two can never drift apart.
   Trinit engine(std::move(xkg), std::move(options));
@@ -83,11 +80,6 @@ Result<Trinit> Trinit::Open(const std::string& path, TrinitOptions options,
       storage::SnapshotReader::Read(path, options.snapshot_read));
   const double open_ms = open_timer.ElapsedMillis();
   if (report != nullptr) *report = snapshot.report;
-  // A snapshot saved sharded restored its own decomposition (zero
-  // rebuilds); otherwise partition freshly per the open options.
-  if (snapshot.xkg.sharded() == nullptr) {
-    snapshot.xkg.InstallSharding(options.shard_count);
-  }
   // No mining on this path: the snapshot's rule set *is* the serving
   // state (mined + manual + operator rules as of the save). The stamped
   // generation seeds the serving cache so the loaded engine continues
@@ -212,23 +204,16 @@ Status Trinit::ExtendKg(std::string_view facts_text) {
   }
   if (added == 0) return Status::InvalidArgument("no facts to add");
 
-  // The serving decomposition may come from the snapshot rather than
-  // the options; a KG extension must not silently change it.
-  const size_t shard_count = xkg_->sharded() == nullptr
-                                 ? options_.shard_count
-                                 : xkg_->sharded()->shard_count();
   TRINIT_ASSIGN_OR_RETURN(xkg::Xkg rebuilt, builder.Build());
   *xkg_ = std::move(rebuilt);
-  // Re-partition the rebuilt store (triple ids changed wholesale).
-  xkg_->InstallSharding(shard_count);
   // Sub-components index dictionary/statistics state; refresh them, and
   // re-resolve rule constants (term ids are not stable across rebuilds).
   rules_.ResolveAgainst(xkg_->dict());
   suggester_ = std::make_unique<suggest::Suggester>(*xkg_);
   autocomplete_ = std::make_unique<suggest::Autocomplete>(*xkg_);
   explainer_ = std::make_unique<explain::ExplanationBuilder>(*xkg_);
-  // The rebuilt store (and its fresh shard indexes) lost the metric
-  // bindings; re-bind under this exclusive lock before queries resume.
+  // The rebuilt store lost the metric bindings; re-bind under this
+  // exclusive lock before queries resume.
   if (options_.obs.metrics) {
     xkg_->BindScoreMetrics(metrics_.shape_sort_ms, metrics_.shape_builds);
   }
@@ -388,20 +373,6 @@ void Trinit::FinishRequestObservation(
         metrics_.plan_cardinality_error.Observe(
             std::fabs(std::log2(ratio)));
       }
-    }
-  }
-  if (stats.per_shard_pulled.size() > 1) {
-    metrics_.scatter_requests.Increment();
-    size_t total_pulled = 0;
-    size_t max_pulled = 0;
-    for (size_t pulled : stats.per_shard_pulled) {
-      total_pulled += pulled;
-      max_pulled = std::max(max_pulled, pulled);
-    }
-    if (total_pulled > 0) {
-      metrics_.shard_hottest_share.Observe(
-          static_cast<double>(max_pulled) /
-          static_cast<double>(total_pulled));
     }
   }
 

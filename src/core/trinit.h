@@ -45,18 +45,6 @@ struct TrinitOptions {
   relax::InversionMiner::Options inversion_options;
   relax::BridgeMiner::Options bridge_options;
 
-  /// In-process XKG shards for scatter-gather serving: the store is
-  /// hash-partitioned by subject into this many shards, each with its
-  /// own posting lists and statistics; the planner consumes the exact
-  /// per-shard merge and every leaf stream becomes a merge over
-  /// per-shard segments under one global threshold. `<= 1` (the
-  /// default) serves unsharded — bit-identical to the pre-sharding
-  /// engine, including every trace counter. Answers, scores, and total
-  /// pulls are identical at any shard count (property-tested); only
-  /// the per-shard balance counters differ. A snapshot saved sharded
-  /// restores its own decomposition, overriding this knob.
-  size_t shard_count = 1;
-
   /// Engine-level serving cache (cross-request plan reuse + answer
   /// LRU). Defaults on; `serving.enabled = false` restores per-request
   /// planning from scratch.
@@ -66,8 +54,8 @@ struct TrinitOptions {
   /// mmap with zero-copy section views, and how hard to verify. See
   /// `storage::SnapshotReader` for the mode/verification contract.
   storage::ReadOptions snapshot_read;
-  /// How `Save` encodes the snapshot: per-section codec and wire format
-  /// version. See `storage::SnapshotWriter`.
+  /// How `Save` encodes the snapshot: per-section codec. See
+  /// `storage::SnapshotWriter`.
   storage::WriteOptions snapshot_write;
 
   /// Observability (PR 10): the always-on metrics registry, the
@@ -284,8 +272,8 @@ class Trinit : public Engine {
 
   /// Fills `response.serving`'s registry-sourced cumulative counters,
   /// records the per-request registry observations (latency, deadline,
-  /// topk work, cardinality error, shard balance), and — for traced or
-  /// slow requests — builds the span tree and feeds the slow-query log.
+  /// topk work, cardinality error), and — for traced or slow requests —
+  /// builds the span tree and feeds the slow-query log.
   /// Called at the end of `Execute` on every path that has a response.
   void FinishRequestObservation(const QueryRequest& request,
                                 const query::Query& q, double parse_ms,

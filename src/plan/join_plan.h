@@ -33,12 +33,6 @@ struct PatternEstimate {
   /// subject) ranks ahead of a small-but-fanning one.
   double distinct_subjects = 0.0;
   double distinct_objects = 0.0;
-  /// Shards of the XKG decomposition this estimate was taken over (1 =
-  /// unsharded). Purely diagnostic: the stats the estimates derive from
-  /// are the exact per-shard merge, so the cost order never varies with
-  /// the shard count — this annotation lets traces and tests assert
-  /// that.
-  uint32_t shards = 1;
 };
 
 /// The compiled execution shape of one conjunctive query: a cost-based

@@ -17,9 +17,6 @@ PatternEstimate EstimatePattern(const xkg::Xkg& xkg,
                                 size_t index) {
   PatternEstimate est;
   est.pattern = index;
-  est.shards = xkg.sharded() == nullptr
-                   ? 1
-                   : static_cast<uint32_t>(xkg.sharded()->shard_count());
 
   rdf::TermId ids[3] = {rdf::kNullTerm, rdf::kNullTerm, rdf::kNullTerm};
   const query::Term* slots[3] = {&pattern.s, &pattern.p, &pattern.o};

@@ -18,21 +18,9 @@ uint32_t CountDistinct(It begin, It end, Proj proj) {
 }  // namespace
 
 GraphStats GraphStats::Compute(const TripleStore& store) {
-  return ComputeImpl(store.triples(), nullptr, store.size());
-}
-
-GraphStats GraphStats::ComputeSubset(std::span<const Triple> triples,
-                                     std::span<const TripleId> members) {
-  return ComputeImpl(triples, members.data(), members.size());
-}
-
-GraphStats GraphStats::ComputeImpl(std::span<const Triple> triples,
-                                   const TripleId* members, size_t n) {
   GraphStats gs;
   std::unordered_map<TermId, std::vector<std::pair<TermId, TermId>>> raw_args;
-  for (size_t i = 0; i < n; ++i) {
-    const Triple& t =
-        triples[members == nullptr ? i : static_cast<size_t>(members[i])];
+  for (const Triple& t : store.triples()) {
     PredicateStats& ps = gs.stats_[t.p];
     if (ps.triple_count == 0) gs.predicates_.push_back(t.p);
     ++ps.triple_count;
@@ -58,48 +46,6 @@ GraphStats GraphStats::ComputeImpl(std::span<const Triple> triples,
         CountDistinct(subjects.begin(), subjects.end(), [](TermId x) { return x; });
     ps.distinct_objects =
         CountDistinct(objects.begin(), objects.end(), [](TermId x) { return x; });
-    gs.args_.emplace(p, std::move(pairs));
-  }
-  return gs;
-}
-
-GraphStats GraphStats::Merged(std::span<const GraphStats* const> parts) {
-  GraphStats gs;
-  for (const GraphStats* part : parts) {
-    for (TermId p : part->predicates_) gs.predicates_.push_back(p);
-  }
-  std::sort(gs.predicates_.begin(), gs.predicates_.end());
-  gs.predicates_.erase(
-      std::unique(gs.predicates_.begin(), gs.predicates_.end()),
-      gs.predicates_.end());
-  for (TermId p : gs.predicates_) {
-    PredicateStats& ps = gs.stats_[p];
-    std::vector<std::pair<TermId, TermId>> pairs;
-    for (const GraphStats* part : parts) {
-      if (const PredicateStats* pp = part->ForPredicate(p)) {
-        ps.triple_count += pp->triple_count;
-        ps.evidence_count += pp->evidence_count;
-      }
-      const auto part_args = part->Args(p);
-      pairs.insert(pairs.end(), part_args.begin(), part_args.end());
-    }
-    // Subject-hashed shards have disjoint arg sets, so this sort+unique
-    // is a pure merge — the result is exactly Compute's args array.
-    std::sort(pairs.begin(), pairs.end());
-    pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
-    std::vector<TermId> subjects, objects;
-    subjects.reserve(pairs.size());
-    objects.reserve(pairs.size());
-    for (const auto& [s, o] : pairs) {
-      subjects.push_back(s);
-      objects.push_back(o);
-    }
-    std::sort(subjects.begin(), subjects.end());
-    std::sort(objects.begin(), objects.end());
-    ps.distinct_subjects = CountDistinct(subjects.begin(), subjects.end(),
-                                         [](TermId x) { return x; });
-    ps.distinct_objects = CountDistinct(objects.begin(), objects.end(),
-                                        [](TermId x) { return x; });
     gs.args_.emplace(p, std::move(pairs));
   }
   return gs;

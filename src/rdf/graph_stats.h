@@ -31,21 +31,6 @@ class GraphStats {
   /// The store must outlive the stats object.
   static GraphStats Compute(const TripleStore& store);
 
-  /// Subset variant: statistics over only the triples whose global ids
-  /// are listed in `members` — one shard of a `ShardedStore`. Because
-  /// shard membership is keyed by subject, per-shard arg sets are
-  /// disjoint and `Merged` over every shard reproduces `Compute`
-  /// exactly (property-tested).
-  static GraphStats ComputeSubset(std::span<const Triple> triples,
-                                  std::span<const TripleId> members);
-
-  /// Merges per-shard statistics into whole-store statistics: counts
-  /// sum, args concatenate (sorted merge), distinct subject/object
-  /// counts are recomputed from the merged args. When `parts` partition
-  /// a store by subject hash, the result equals `Compute` over the
-  /// whole store bit-for-bit — the planner's merged per-shard stats.
-  static GraphStats Merged(std::span<const GraphStats* const> parts);
-
   /// The args array of one predicate, span-or-vector: the copying load
   /// path decodes into owned vectors, the mmap path views the 8-byte
   /// (s,o) pair records of the STATS section in place.
@@ -103,11 +88,6 @@ class GraphStats {
 
  private:
   GraphStats() = default;
-
-  /// Shared body of Compute/ComputeSubset: `members == nullptr` walks
-  /// all `n` triples by dense id, otherwise the `n` listed ids.
-  static GraphStats ComputeImpl(std::span<const Triple> triples,
-                                const TripleId* members, size_t n);
 
   std::vector<TermId> predicates_;
   std::unordered_map<TermId, PredicateStats> stats_;

@@ -91,17 +91,6 @@ class ScoreOrderIndex {
   /// here.
   static ScoreOrderIndex Build(std::span<const Triple> triples);
 
-  /// Subset variant: the index covers only the triples whose *global*
-  /// ids are listed (ascending) in `members` — one shard of a
-  /// `ShardedStore`. Lookups emit global ids restricted to the subset;
-  /// keys, weights, and prefix masses come from the global `triples`
-  /// array unchanged, so a per-shard list is exactly the global list
-  /// filtered to the shard. `members` is aliased, not copied: it must
-  /// stay alive and unchanged for the index's lifetime (the sharded
-  /// store owns it alongside the index).
-  static ScoreOrderIndex BuildSubset(std::span<const Triple> triples,
-                                     std::span<const TripleId> members);
-
   /// Score-ordered ids of all triples matching the pattern
   /// (`kNullTerm` = wildcard). At most two slots may be bound. `triples`
   /// must be the array the index was built over. Builds the shape's
@@ -118,13 +107,6 @@ class ScoreOrderIndex {
   /// Number of shape permutations materialized so far (laziness
   /// introspection for tests and benches; 0..7).
   size_t built_shapes() const;
-
-  /// True when the permutation that would serve the pattern shape of
-  /// (s, p, o) is already materialized — the sharded scatter's gate for
-  /// spawning parallel first-touch builds (a built shape needs no
-  /// thread). Fully-bound patterns report true (they are served by
-  /// `TripleStore::Match`, not a shape permutation).
-  bool ShapeBuiltFor(TermId s, TermId p, TermId o) const;
 
   /// Zero-copy view of one built shape (snapshot writer): spans alias
   /// the index and stay valid for its lifetime.
@@ -145,12 +127,11 @@ class ScoreOrderIndex {
   /// `Build`-prepared indexes during snapshot load, before any lookup
   /// touches the shape. Every invariant `Lookup`/`Range` rely on is
   /// re-verified in O(n) against `triples` (the array the index was
-  /// built over): ids a permutation (of `members` for subset indexes),
-  /// (key, weight desc, id) order, and prefix masses equal to the
-  /// running count sums — so a corrupt snapshot yields InvalidArgument,
-  /// never wrong answers. Under SnapshotValidation::kTrusted only the
-  /// O(1) size checks run. FailedPrecondition when the shape was
-  /// already built.
+  /// built over): ids a permutation, (key, weight desc, id) order, and
+  /// prefix masses equal to the running count sums — so a corrupt
+  /// snapshot yields InvalidArgument, never wrong answers. Under
+  /// SnapshotValidation::kTrusted only the O(1) size checks run.
+  /// FailedPrecondition when the shape was already built.
   Status RestoreShape(ShapeSnapshot snapshot, std::span<const Triple> triples,
                       SnapshotValidation validation = SnapshotValidation::kFull);
 
@@ -178,10 +159,6 @@ class ScoreOrderIndex {
   /// Bound-slot key of `t` under `shape`; single-slot shapes use b = 0.
   static Key KeyFor(Shape shape, const Triple& t);
 
-  /// The shape permutation serving a pattern with the given bound
-  /// slots; fully-bound patterns are not served here (see `Lookup`).
-  static Shape ShapeFor(bool bs, bool bp, bool bo);
-
   /// One lazily-built shape permutation. `built` is the publication
   /// flag: set (release) at the end of the once-body, checked (acquire)
   /// by `built_shapes`; readers inside `Lookup` are ordered by
@@ -208,11 +185,6 @@ class ScoreOrderIndex {
   // Heap-allocated so once_flags keep a stable address across moves of
   // the owning TripleStore; null for a default-constructed index.
   std::unique_ptr<std::array<ShapeIndex, kNumShapes>> shapes_;
-  // Subset mode (see BuildSubset): the ascending global ids this index
-  // covers; aliased, owner-kept-alive. Empty span + subset_ == false is
-  // the whole-store mode.
-  std::span<const TripleId> members_;
-  bool subset_ = false;
   // Registry mirrors; written only by BindMetrics (pre-share).
   obs::Histogram sort_ms_;
   obs::Counter builds_;

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "rdf/graph_stats.h"
-#include "rdf/sharded_store.h"
 #include "rdf/triple_store.h"
 #include "storage/mapped_file.h"
 #include "storage/varint.h"
@@ -25,10 +24,8 @@ namespace {
 
 // ------------------------------------------------------------- layout
 
-// Section ids (stable across format versions). Every section a version
-// defines is present exactly once; the reader rejects files missing any
-// of them. SHARDS exists only in v3+ files (an unsharded save carries
-// it with a zero shard count, so the per-version count stays fixed).
+// Section ids. Every section is present exactly once; the reader
+// rejects files missing any of them.
 enum SectionId : uint32_t {
   kMeta = 1,
   kDictionary = 2,
@@ -38,11 +35,8 @@ enum SectionId : uint32_t {
   kGraphStats = 6,
   kProvenance = 7,
   kRules = 8,
-  kShards = 9,
 };
-constexpr uint32_t NumSectionsFor(uint32_t version) {
-  return version >= 3 ? 9 : 8;
-}
+constexpr uint32_t kNumSections = 8;
 
 // Written after the magic; a big-endian reader sees it byte-swapped and
 // rejects the file instead of mis-decoding every integer. It also
@@ -101,7 +95,7 @@ void PutStr(std::string* out, std::string_view s) {
   PutU32(out, static_cast<uint32_t>(s.size()));
   out->append(s);
 }
-// Zero-pads a v2 section payload to the next 8-byte boundary, keeping
+// Zero-pads a section payload to the next 8-byte boundary, keeping
 // every u64 field of the *next* record 8-aligned relative to the
 // (8-aligned) section start — the precondition for viewing arrays in
 // place.
@@ -168,19 +162,6 @@ class Cursor {
     pos_ += len;
     return true;
   }
-  /// Reads `n` fixed-width values; fails before allocating when the
-  /// section cannot possibly hold them (corrupt huge counts must not
-  /// trigger an OOM before the bounds check).
-  template <typename T>
-  bool ReadArray(size_t n, size_t elem_bytes, std::vector<T>* out,
-                 bool (Cursor::*read_one)(T*)) {
-    if (remaining() / elem_bytes < n) return false;
-    out->resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      if (!(this->*read_one)(&(*out)[i])) return false;
-    }
-    return true;
-  }
 
  private:
   const char* data_;
@@ -234,15 +215,15 @@ bool GetSmallZigzag(const char* data, size_t size, size_t* pos, int64_t* d) {
 // ----------------------------------------------------- section writers
 
 std::string EncodeMeta(const xkg::Xkg& xkg, const relax::RuleSet& rules,
-                       uint32_t version, uint64_t prov_records) {
+                       uint64_t prov_records) {
   std::string out;
   PutU64(&out, xkg.kg_triple_count());
   PutU64(&out, xkg.dict().size());
   PutU64(&out, xkg.store().size());
   PutU64(&out, rules.size());
-  // v2: the PROV record count lives in META so a trusted mapped load
-  // can report it without touching the (deferred) PROV section.
-  if (version >= 2) PutU64(&out, prov_records);
+  // The PROV record count lives in META so a trusted mapped load can
+  // report it without touching the (deferred) PROV section.
+  PutU64(&out, prov_records);
   return out;
 }
 
@@ -295,22 +276,19 @@ std::string EncodeTriplesVarint(const rdf::TripleStore& store) {
   return out;
 }
 
-// v1: u32 num, then per perm u64 n + n*u32 ids (unaligned after the
-// first odd-sized array — decode-only).
-// v2: u32 num + u32 reserved, per perm u64 n + ids, zero-padded to 8
-// so every array is viewable in place.
-std::string EncodePermutationsRaw(const rdf::TripleStore& store,
-                                  uint32_t version) {
+// u32 num + u32 reserved, per perm u64 n + ids, zero-padded to 8 so
+// every array is viewable in place.
+std::string EncodePermutationsRaw(const rdf::TripleStore& store) {
   std::string out;
   PutU32(&out,
          static_cast<uint32_t>(rdf::TripleStore::kNumIndexPermutations));
-  if (version >= 2) PutU32(&out, 0);
+  PutU32(&out, 0);
   for (size_t i = 0; i < rdf::TripleStore::kNumIndexPermutations; ++i) {
     // Zero-copy: the span aliases the store's own array.
     std::span<const rdf::TripleId> perm = store.IndexPermutation(i);
     PutU64(&out, perm.size());
     for (rdf::TripleId id : perm) PutU32(&out, id);
-    if (version >= 2) PadTo8(&out);
+    PadTo8(&out);
   }
   return out;
 }
@@ -330,22 +308,20 @@ std::string EncodePermutationsVarint(const rdf::TripleStore& store) {
   return out;
 }
 
-// v1: u32 num, per shape u32 shape + u64 n + ids + masses (unaligned —
-// decode-only). v2: u32 num + u32 reserved, per shape u32 shape +
-// u32 reserved + u64 n + ids + pad + (n+1) u64 masses, viewable.
-std::string EncodeScoreShapesRaw(const rdf::TripleStore& store,
-                                 uint32_t version) {
+// u32 num + u32 reserved, per shape u32 shape + u32 reserved + u64 n +
+// ids + pad + (n+1) u64 masses, viewable.
+std::string EncodeScoreShapesRaw(const rdf::TripleStore& store) {
   std::string out;
   std::vector<rdf::ScoreOrderIndex::ShapeView> shapes =
       store.BuiltScoreShapes();
   PutU32(&out, static_cast<uint32_t>(shapes.size()));
-  if (version >= 2) PutU32(&out, 0);
+  PutU32(&out, 0);
   for (const rdf::ScoreOrderIndex::ShapeView& shape : shapes) {
     PutU32(&out, shape.shape);
-    if (version >= 2) PutU32(&out, 0);
+    PutU32(&out, 0);
     PutU64(&out, shape.ids.size());
     for (rdf::TripleId id : shape.ids) PutU32(&out, id);
-    if (version >= 2) PadTo8(&out);
+    PadTo8(&out);
     for (uint64_t mass : shape.prefix_mass) PutU64(&out, mass);
   }
   return out;
@@ -419,45 +395,6 @@ std::string EncodeGraphStatsVarint(const rdf::GraphStats& stats) {
       prev_first = s;
       prev_second = o;
     }
-  }
-  return out;
-}
-
-// v3: the engine's scatter-gather decomposition, always raw so the
-// mapped path serves every per-shard subsection as a view. u32 shard
-// count (0 = saved unsharded) + u32 reserved; then per shard, all
-// 8-aligned relative to the section start: u64 member count + u32
-// member ids + pad, u32 built-shape count + u32 reserved, per shape the
-// SCORE v2 layout (u32 shape + u32 reserved + u64 n + u32 ids + pad +
-// (n+1) u64 prefix masses), then u64 stats length + one STATS block in
-// the raw layout (whose size is a multiple of 8, preserving alignment).
-std::string EncodeShardsRaw(const xkg::Xkg& xkg) {
-  std::string out;
-  const rdf::ShardedStore* sharded = xkg.sharded();
-  const uint32_t count =
-      sharded == nullptr ? 0 : static_cast<uint32_t>(sharded->shard_count());
-  PutU32(&out, count);
-  PutU32(&out, 0);
-  for (uint32_t i = 0; i < count; ++i) {
-    const std::span<const rdf::TripleId> members = sharded->members(i);
-    PutU64(&out, members.size());
-    for (rdf::TripleId id : members) PutU32(&out, id);
-    PadTo8(&out);
-    const std::vector<rdf::ScoreOrderIndex::ShapeView> shapes =
-        sharded->BuiltScoreShapes(i);
-    PutU32(&out, static_cast<uint32_t>(shapes.size()));
-    PutU32(&out, 0);
-    for (const rdf::ScoreOrderIndex::ShapeView& shape : shapes) {
-      PutU32(&out, shape.shape);
-      PutU32(&out, 0);
-      PutU64(&out, shape.ids.size());
-      for (rdf::TripleId id : shape.ids) PutU32(&out, id);
-      PadTo8(&out);
-      for (uint64_t mass : shape.prefix_mass) PutU64(&out, mass);
-    }
-    const std::string stats = EncodeGraphStatsRaw(sharded->shard_stats(i));
-    PutU64(&out, stats.size());
-    out += stats;
   }
   return out;
 }
@@ -664,8 +601,8 @@ Status DecodeTriplesVarint(std::span<const char> d,
   return Status::Ok();
 }
 
-/// Raw TRIPLES, both formats (identical layout): decode, or view the
-/// 24-byte records in place when `view`.
+/// Raw TRIPLES: decode, or view the 24-byte records in place when
+/// `view`.
 Status LoadTriplesRaw(std::span<const char> file, const SectionRef& s,
                       bool view, util::OwnedSpan<rdf::Triple>* out,
                       size_t* framing) {
@@ -690,34 +627,11 @@ Status LoadTriplesRaw(std::span<const char> file, const SectionRef& s,
   return Status::Ok();
 }
 
-Status DecodePermutationsV1(Cursor* c,
-                            rdf::TripleStore::IndexSnapshot* indexes) {
-  uint32_t num;
-  if (!c->ReadU32(&num)) return Corrupt("permutation count");
-  // Each permutation carries at least its u64 size; a hostile count
-  // must fail here, not in a gigantic resize (bad_alloc is not a typed
-  // error).
-  if (c->remaining() / 8 < num) return Corrupt("permutation section short");
-  indexes->perms.resize(num);
-  for (uint32_t p = 0; p < num; ++p) {
-    uint64_t n;
-    std::vector<rdf::TripleId> ids;
-    if (!c->ReadU64(&n)) return Corrupt("permutation size");
-    if (!c->ReadArray(n, 4, &ids, &Cursor::ReadU32)) {
-      return Corrupt("permutation " + std::to_string(p));
-    }
-    indexes->perms[p] = std::move(ids);
-  }
-  if (!c->AtEnd()) return Corrupt("trailing bytes after permutations");
-  return Status::Ok();
-}
-
-/// v2 raw PERMS: walk the aligned layout, viewing each array in place
+/// Raw PERMS: walk the aligned layout, viewing each array in place
 /// (`view`) or copying it out.
-Status LoadPermutationsV2Raw(std::span<const char> file, const SectionRef& s,
-                             bool view,
-                             rdf::TripleStore::IndexSnapshot* indexes,
-                             size_t* framing) {
+Status LoadPermutationsRaw(std::span<const char> file, const SectionRef& s,
+                           bool view, rdf::TripleStore::IndexSnapshot* indexes,
+                           size_t* framing) {
   const char* base = file.data();
   uint64_t pos = s.offset;
   const uint64_t end = s.offset + s.length;
@@ -788,43 +702,11 @@ Status DecodePermutationsVarint(std::span<const char> d,
   return Status::Ok();
 }
 
-Status DecodeScoreShapesV1(Cursor* c,
-                           rdf::TripleStore::IndexSnapshot* indexes) {
-  uint32_t num;
-  if (!c->ReadU32(&num)) return Corrupt("score shape count");
-  // Each shape carries at least its u32 id + u64 size + u64 zeroth
-  // prefix mass; bound the count before allocating (see above).
-  if (c->remaining() / 20 < num) return Corrupt("score shape section short");
-  indexes->score_shapes.resize(num);
-  uint32_t seen_shapes = 0;  // bitmask; shape ids are < 32
-  for (uint32_t i = 0; i < num; ++i) {
-    rdf::ScoreOrderIndex::ShapeSnapshot& shape = indexes->score_shapes[i];
-    uint64_t n;
-    std::vector<rdf::TripleId> ids;
-    std::vector<uint64_t> prefix_mass;
-    if (!c->ReadU32(&shape.shape) || !c->ReadU64(&n) ||
-        !c->ReadArray(n, 4, &ids, &Cursor::ReadU32) ||
-        !c->ReadArray(n + 1, 8, &prefix_mass, &Cursor::ReadU64)) {
-      return Corrupt("score shape " + std::to_string(i));
-    }
-    shape.ids = std::move(ids);
-    shape.prefix_mass = std::move(prefix_mass);
-    // Duplicates are corruption, not a "restored twice" precondition
-    // failure (that status code is reserved for version mismatch).
-    if (shape.shape >= 32 || (seen_shapes & (1u << shape.shape)) != 0) {
-      return Corrupt("duplicate or out-of-range score shape id " +
-                     std::to_string(shape.shape));
-    }
-    seen_shapes |= 1u << shape.shape;
-  }
-  if (!c->AtEnd()) return Corrupt("trailing bytes after score shapes");
-  return Status::Ok();
-}
-
-Status LoadScoreShapesV2Raw(std::span<const char> file, const SectionRef& s,
-                            bool view,
-                            rdf::TripleStore::IndexSnapshot* indexes,
-                            size_t* framing) {
+/// Raw SCORE: the PERMS walk per shape, over its id array and its
+/// prefix masses.
+Status LoadScoreShapesRaw(std::span<const char> file, const SectionRef& s,
+                          bool view, rdf::TripleStore::IndexSnapshot* indexes,
+                          size_t* framing) {
   const char* base = file.data();
   uint64_t pos = s.offset;
   const uint64_t end = s.offset + s.length;
@@ -980,19 +862,15 @@ Status DecodeGraphStatsRaw(Cursor* c, Result<rdf::GraphStats>* out) {
   return out->ok() ? Status::Ok() : out->status();
 }
 
-/// One raw STATS-layout block at the absolute file range [pos, end):
-/// the global STATS section is one block, and the v3 SHARDS section
-/// embeds one per shard. Only the 32-byte per-predicate headers are
-/// walked (counted as framing when viewed); each predicate's (s,o)
-/// pair array becomes a view when `view`, an owned copy otherwise.
-/// Layout is identical in v1 and v2 and happens to be fully 8-aligned,
-/// so this path serves every version.
-Status LoadGraphStatsRawRegion(std::span<const char> file, uint64_t pos,
-                               uint64_t end, bool view,
-                               rdf::SnapshotValidation validation,
-                               Result<rdf::GraphStats>* out,
-                               size_t* framing) {
+/// Raw STATS served from the mapping: only the 32-byte per-predicate
+/// headers are walked (counted as framing); each predicate's (s,o) pair
+/// array is viewed in place.
+Status LoadGraphStatsRawView(std::span<const char> file, const SectionRef& s,
+                             rdf::SnapshotValidation validation,
+                             Result<rdf::GraphStats>* out, size_t* framing) {
   const char* base = file.data();
+  uint64_t pos = s.offset;
+  const uint64_t end = s.offset + s.length;
   if (end - pos < 8) return Corrupt("graph-stats count");
   const uint64_t count = LoadU64(base + pos);
   pos += 8;
@@ -1012,163 +890,22 @@ Status LoadGraphStatsRawRegion(std::span<const char> file, uint64_t pos,
     const uint64_t argn = LoadU64(base + pos + 24);
     pos += 32;
     if ((end - pos) / 8 < argn) return Corrupt("graph-stats args short");
-    rdf::GraphStats::ArgPairs pairs;
-    if (view) {
-      std::span<const ArgPair> viewed;
-      if (!MakeView(file, pos, argn, &viewed)) {
-        return Corrupt("misaligned graph-stats args");
-      }
-      pairs = rdf::GraphStats::ArgPairs::View(viewed);
-    } else {
-      std::vector<ArgPair> owned(static_cast<size_t>(argn));
-      for (uint64_t j = 0; j < argn; ++j) {
-        owned[j] = {LoadU32(base + pos + j * 8),
-                    LoadU32(base + pos + j * 8 + 4)};
-      }
-      pairs = std::move(owned);
+    std::span<const ArgPair> viewed;
+    if (!MakeView(file, pos, argn, &viewed)) {
+      return Corrupt("misaligned graph-stats args");
     }
     pos += argn * 8;
     if (stats.count(p) != 0) return Corrupt("duplicate graph-stats predicate");
     predicates.push_back(p);
     stats.emplace(p, ps);
-    args.emplace(p, std::move(pairs));
+    args.emplace(p, rdf::GraphStats::ArgPairs::View(viewed));
   }
   if (pos != end) return Corrupt("trailing bytes after graph stats");
-  if (view && framing != nullptr) {
-    *framing += 8 + 32 * static_cast<size_t>(count);
-  }
+  *framing += 8 + 32 * static_cast<size_t>(count);
   *out = rdf::GraphStats::FromSnapshot(std::move(predicates),
                                        std::move(stats), std::move(args),
                                        validation);
   return out->ok() ? Status::Ok() : out->status();
-}
-
-Status LoadGraphStatsRawView(std::span<const char> file, const SectionRef& s,
-                             rdf::SnapshotValidation validation,
-                             Result<rdf::GraphStats>* out, size_t* framing) {
-  return LoadGraphStatsRawRegion(file, s.offset, s.offset + s.length,
-                                 /*view=*/true, validation, out, framing);
-}
-
-/// v3 SHARDS: see EncodeShardsRaw for the layout. Member-id and shape
-/// arrays become views when `view`, owned copies otherwise; each
-/// shard's embedded STATS block goes through LoadGraphStatsRawRegion.
-/// Content invariants (partition, order, mass sums) are the job of
-/// `rdf::ShardedStore::FromSnapshot` under `validation` — this walker
-/// only guarantees frame safety on hostile bytes.
-Status LoadShardsRaw(std::span<const char> file, const SectionRef& s,
-                     bool view, rdf::SnapshotValidation validation,
-                     std::vector<rdf::ShardedStore::ShardSnapshot>* shards,
-                     size_t* framing) {
-  const char* base = file.data();
-  uint64_t pos = s.offset;
-  const uint64_t end = s.offset + s.length;
-  if (end - pos < 8) return Corrupt("shard header");
-  const uint32_t count = LoadU32(base + pos);
-  const uint32_t reserved = LoadU32(base + pos + 4);
-  pos += 8;
-  if (reserved != 0) return Corrupt("shard reserved word");
-  size_t walked = 8;
-  // Each shard carries at least its member count, shape count, and
-  // stats length (24 bytes).
-  if ((end - pos) / 24 < count) return Corrupt("shard section short");
-  shards->clear();
-  shards->reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    util::OwnedSpan<rdf::TripleId> shard_members;
-    if (end - pos < 8) return Corrupt("shard " + std::to_string(i));
-    const uint64_t members = LoadU64(base + pos);
-    pos += 8;
-    walked += 8;
-    if ((end - pos) / 4 < members) return Corrupt("shard members");
-    if (view) {
-      std::span<const rdf::TripleId> ids;
-      if (!MakeView(file, pos, members, &ids)) {
-        return Corrupt("misaligned shard members");
-      }
-      shard_members = util::OwnedSpan<rdf::TripleId>::View(ids);
-    } else {
-      std::vector<rdf::TripleId> ids(static_cast<size_t>(members));
-      if (members > 0) std::memcpy(ids.data(), base + pos, members * 4);
-      shard_members = std::move(ids);
-    }
-    pos += members * 4;
-    uint64_t pad = (8 - ((pos - s.offset) % 8)) % 8;
-    if (end - pos < pad) return Corrupt("shard padding");
-    pos += pad;
-    if (end - pos < 8) return Corrupt("shard shape count");
-    const uint32_t num_shapes = LoadU32(base + pos);
-    const uint32_t shape_rsvd = LoadU32(base + pos + 4);
-    pos += 8;
-    walked += 8;
-    if (shape_rsvd != 0) return Corrupt("shard reserved word");
-    if ((end - pos) / 24 < num_shapes) return Corrupt("shard shapes short");
-    std::vector<rdf::ScoreOrderIndex::ShapeSnapshot> shard_shapes(num_shapes);
-    uint32_t seen_shapes = 0;
-    for (uint32_t j = 0; j < num_shapes; ++j) {
-      rdf::ScoreOrderIndex::ShapeSnapshot& shape = shard_shapes[j];
-      if (end - pos < 16) return Corrupt("shard shape header");
-      shape.shape = LoadU32(base + pos);
-      const uint32_t rsvd = LoadU32(base + pos + 4);
-      const uint64_t n = LoadU64(base + pos + 8);
-      pos += 16;
-      walked += 16;
-      if (rsvd != 0) return Corrupt("shard reserved word");
-      if (shape.shape >= 32 || (seen_shapes & (1u << shape.shape)) != 0) {
-        return Corrupt("duplicate or out-of-range shard shape id " +
-                       std::to_string(shape.shape));
-      }
-      seen_shapes |= 1u << shape.shape;
-      if ((end - pos) / 4 < n) return Corrupt("shard shape ids");
-      if (view) {
-        std::span<const rdf::TripleId> ids;
-        if (!MakeView(file, pos, n, &ids)) {
-          return Corrupt("misaligned shard shape ids");
-        }
-        shape.ids = util::OwnedSpan<rdf::TripleId>::View(ids);
-      } else {
-        std::vector<rdf::TripleId> ids(static_cast<size_t>(n));
-        if (n > 0) std::memcpy(ids.data(), base + pos, n * 4);
-        shape.ids = std::move(ids);
-      }
-      pos += n * 4;
-      pad = (8 - ((pos - s.offset) % 8)) % 8;
-      if (end - pos < pad) return Corrupt("shard shape padding");
-      pos += pad;
-      if ((end - pos) / 8 < n + 1) return Corrupt("shard shape mass");
-      if (view) {
-        std::span<const uint64_t> mass;
-        if (!MakeView(file, pos, n + 1, &mass)) {
-          return Corrupt("misaligned shard shape mass");
-        }
-        shape.prefix_mass = util::OwnedSpan<uint64_t>::View(mass);
-      } else {
-        std::vector<uint64_t> mass(static_cast<size_t>(n) + 1);
-        std::memcpy(mass.data(), base + pos, (n + 1) * 8);
-        shape.prefix_mass = std::move(mass);
-      }
-      pos += (n + 1) * 8;
-    }
-    if (end - pos < 8) return Corrupt("shard stats length");
-    const uint64_t stats_len = LoadU64(base + pos);
-    pos += 8;
-    walked += 8;
-    if (end - pos < stats_len || stats_len % 8 != 0) {
-      return Corrupt("shard stats block");
-    }
-    Result<rdf::GraphStats> stats = Status::Internal("unset");
-    size_t stats_framing = 0;
-    TRINIT_RETURN_IF_ERROR(LoadGraphStatsRawRegion(
-        file, pos, pos + stats_len, view, validation, &stats,
-        &stats_framing));
-    walked += stats_framing;
-    pos += stats_len;
-    shards->push_back({std::move(shard_members), std::move(shard_shapes),
-                       std::move(stats).value()});
-  }
-  if (pos != end) return Corrupt("trailing bytes after shards");
-  if (view && framing != nullptr) *framing += walked;
-  return Status::Ok();
 }
 
 Status DecodeGraphStatsVarint(std::span<const char> d,
@@ -1410,15 +1147,6 @@ Status DecodeRules(Cursor* c, relax::RuleSet* rules) {
 Status SnapshotWriter::Write(const xkg::Xkg& xkg, const relax::RuleSet& rules,
                              uint64_t generation, const std::string& path,
                              const WriteOptions& options) {
-  const uint32_t version = options.format_version;
-  if (version < kMinSnapshotVersion || version > kSnapshotVersion) {
-    return Status::InvalidArgument("unsupported snapshot format version " +
-                                   std::to_string(version));
-  }
-  if (version < 2 && options.codec != SectionCodec::kRaw) {
-    return Status::InvalidArgument(
-        "section codecs require snapshot format v2");
-  }
   // A trusted-mapped engine defers provenance decode; saving forces it
   // now and must not silently persist an empty map because that decode
   // failed.
@@ -1439,11 +1167,10 @@ Status SnapshotWriter::Write(const xkg::Xkg& xkg, const relax::RuleSet& rules,
     SectionCodec codec;
     std::string payload;
   };
-  const uint32_t num_sections = NumSectionsFor(version);
   std::vector<Section> sections;
-  sections.reserve(num_sections);
-  sections.push_back({kMeta, SectionCodec::kRaw,
-                      EncodeMeta(xkg, rules, version, prov_records)});
+  sections.reserve(kNumSections);
+  sections.push_back(
+      {kMeta, SectionCodec::kRaw, EncodeMeta(xkg, rules, prov_records)});
   sections.push_back(
       {kDictionary, SectionCodec::kRaw, EncodeDictionary(xkg.dict())});
   sections.push_back(
@@ -1451,43 +1178,35 @@ Status SnapshotWriter::Write(const xkg::Xkg& xkg, const relax::RuleSet& rules,
        varint ? EncodeTriplesVarint(store) : EncodeTriples(store)});
   sections.push_back({kPermutations, bulk,
                       varint ? EncodePermutationsVarint(store)
-                             : EncodePermutationsRaw(store, version)});
+                             : EncodePermutationsRaw(store)});
   sections.push_back({kScoreShapes, bulk,
                       varint ? EncodeScoreShapesVarint(store)
-                             : EncodeScoreShapesRaw(store, version)});
+                             : EncodeScoreShapesRaw(store)});
   sections.push_back({kGraphStats, bulk,
                       varint ? EncodeGraphStatsVarint(xkg.stats())
                              : EncodeGraphStatsRaw(xkg.stats())});
   sections.push_back({kProvenance, bulk, std::move(prov)});
   sections.push_back({kRules, SectionCodec::kRaw, EncodeRules(rules)});
-  // v3: the scatter-gather decomposition rides along (empty when the
-  // engine serves unsharded — the section count stays fixed per
-  // version). Writing v2 from a sharded engine simply drops it; the
-  // opener re-installs sharding from its options.
-  if (version >= 3) {
-    sections.push_back({kShards, SectionCodec::kRaw, EncodeShardsRaw(xkg)});
-  }
 
   // Header + table, then 8-aligned payloads — streamed section by
   // section so peak memory stays one copy of the encoded state, not
   // two.
   std::string head;
   head.append(kSnapshotMagic, sizeof(kSnapshotMagic));
-  PutU32(&head, version);
+  PutU32(&head, kSnapshotVersion);
   PutU32(&head, kEndianTag);
   PutU64(&head, generation);
-  PutU32(&head, num_sections);
+  PutU32(&head, kNumSections);
   // Header checksum (low 32 bits of FNV-1a over the 28 bytes above):
   // the generation field has no section covering it, and it must not
   // load silently wrong.
   PutU32(&head, static_cast<uint32_t>(Fnv1a64(head)));
 
-  size_t offset = kHeaderBytes + num_sections * kTableEntryBytes;
+  size_t offset = kHeaderBytes + kNumSections * kTableEntryBytes;
   for (const Section& sec : sections) {
     offset = (offset + 7) & ~size_t{7};
     PutU32(&head, sec.id);
-    // Flag word: low byte is the section codec (0 in v1 files, which
-    // is why v1 readers that required 0 here stay compatible).
+    // Flag word: low byte is the section codec; the rest is reserved.
     PutU32(&head, static_cast<uint32_t>(sec.codec));
     PutU64(&head, offset);
     PutU64(&head, sec.payload.size());
@@ -1560,9 +1279,9 @@ Result<LoadedSnapshot> SnapshotReader::Read(const std::string& path,
     file = std::span<const char>(owned.data(), owned.size());
   }
 
-  // Header. Foreign files fail on the magic (InvalidArgument), old or
-  // newer snapshots on the version (FailedPrecondition) — distinct
-  // codes so callers can tell "not ours" from "ours, re-save it".
+  // Header. Foreign files fail on the magic (InvalidArgument), any other
+  // format version on the version (FailedPrecondition) — distinct codes
+  // so callers can tell "not ours" from "ours, re-save it".
   if (file.size() < kHeaderBytes ||
       std::memcmp(file.data(), kSnapshotMagic, sizeof(kSnapshotMagic)) !=
           0) {
@@ -1582,11 +1301,10 @@ Result<LoadedSnapshot> SnapshotReader::Read(const std::string& path,
     return Status::InvalidArgument(
         "snapshot byte order does not match this machine");
   }
-  if (version < kMinSnapshotVersion || version > kSnapshotVersion) {
+  if (version != kSnapshotVersion) {
     return Status::FailedPrecondition(
         "snapshot format version " + std::to_string(version) +
-        "; this build reads versions " +
-        std::to_string(kMinSnapshotVersion) + ".." +
+        "; this build reads only version " +
         std::to_string(kSnapshotVersion) + " (re-save from source)");
   }
   // The generation lives only in the header (no section checksum covers
@@ -1595,19 +1313,18 @@ Result<LoadedSnapshot> SnapshotReader::Read(const std::string& path,
       static_cast<uint32_t>(Fnv1a64({file.data(), kHeaderBytes - 4}))) {
     return Corrupt("header checksum mismatch");
   }
-  const uint32_t num_sections = NumSectionsFor(version);
-  if (section_count != num_sections) {
-    return Corrupt("expected " + std::to_string(num_sections) +
+  if (section_count != kNumSections) {
+    return Corrupt("expected " + std::to_string(kNumSections) +
                    " sections, header says " +
                    std::to_string(section_count));
   }
-  if (file.size() < kHeaderBytes + num_sections * kTableEntryBytes) {
+  if (file.size() < kHeaderBytes + kNumSections * kTableEntryBytes) {
     return Corrupt("truncated section table");
   }
 
   // Section table: bounds and codec sanity before any payload access.
   std::unordered_map<uint32_t, SectionRef> table;
-  for (uint32_t i = 0; i < num_sections; ++i) {
+  for (uint32_t i = 0; i < kNumSections; ++i) {
     uint32_t id, flags;
     SectionRef s;
     header.ReadU32(&id);
@@ -1626,12 +1343,8 @@ Result<LoadedSnapshot> SnapshotReader::Read(const std::string& path,
           " not supported by this build (re-save from source)");
     }
     s.codec = static_cast<SectionCodec>(flags);
-    if (version < 2 && s.codec != SectionCodec::kRaw) {
-      return Corrupt("codec byte in a v1 snapshot");
-    }
     if (s.codec != SectionCodec::kRaw &&
-        (id == kMeta || id == kDictionary || id == kRules ||
-         id == kShards)) {
+        (id == kMeta || id == kDictionary || id == kRules)) {
       return Corrupt("codec on an uncompressible section " +
                      std::to_string(id));
     }
@@ -1639,7 +1352,7 @@ Result<LoadedSnapshot> SnapshotReader::Read(const std::string& path,
       return Corrupt("duplicate section " + std::to_string(id));
     }
   }
-  for (uint32_t id = kMeta; id <= (version >= 3 ? kShards : kRules); ++id) {
+  for (uint32_t id = kMeta; id <= kRules; ++id) {
     if (table.count(id) == 0) {
       return Corrupt("missing section " + std::to_string(id));
     }
@@ -1652,14 +1365,11 @@ Result<LoadedSnapshot> SnapshotReader::Read(const std::string& path,
     return SectionSpan(file, table.at(id));
   };
 
-  // Mode resolution. Views require the mapping *and* the v2 aligned
-  // layouts; v1 files load through the copying decoders even when
-  // mapped (no benefit, full compatibility). Trusted verification is
-  // only meaningful on the view path — every other combination keeps
-  // the full-verification guarantees.
-  const bool use_views = mapped && version >= 2;
+  // Mode resolution. Trusted verification is only meaningful on the
+  // mapped view path — the copying path keeps the full-verification
+  // guarantees.
   const bool trusted =
-      use_views && options.verify == rdf::SnapshotValidation::kTrusted;
+      mapped && options.verify == rdf::SnapshotValidation::kTrusted;
   const rdf::SnapshotValidation validation =
       trusted ? rdf::SnapshotValidation::kTrusted
               : rdf::SnapshotValidation::kFull;
@@ -1667,31 +1377,20 @@ Result<LoadedSnapshot> SnapshotReader::Read(const std::string& path,
   LoadReport report;
   report.bytes = file.size();
   report.mapped = mapped;
-  size_t touched = kHeaderBytes + num_sections * kTableEntryBytes;
+  size_t touched = kHeaderBytes + kNumSections * kTableEntryBytes;
 
   // Readahead hints (ReadOptions::prefetch): start paging in the
   // sections this load will serve as views, overlapping disk I/O with
   // the decode work below. Purely advisory — verification and the
   // bytes_touched accounting are identical either way.
   if (mapped && options.prefetch) {
-    const bool will_view = version >= 2;
-    auto advise = [&](uint32_t id) {
+    for (uint32_t id : {kTriples, kPermutations, kScoreShapes, kGraphStats}) {
       const SectionRef& s = table.at(id);
       if (s.codec == SectionCodec::kRaw &&
           mapping->AdviseWillNeed(static_cast<size_t>(s.offset),
                                   static_cast<size_t>(s.length))) {
         report.bytes_prefetched += static_cast<size_t>(s.length);
       }
-    };
-    if (will_view) {
-      advise(kTriples);
-      advise(kPermutations);
-      advise(kScoreShapes);
-      advise(kGraphStats);
-      if (version >= 3) advise(kShards);
-    } else if (mapping->AdviseWillNeed(0, file.size())) {
-      // v1 layouts decode by copying; the whole file is read anyway.
-      report.bytes_prefetched += file.size();
     }
   }
 
@@ -1726,11 +1425,10 @@ Result<LoadedSnapshot> SnapshotReader::Read(const std::string& path,
   // framing still fail loudly.
   Cursor meta = cursor_for(kMeta);
   uint64_t kg_triples, dict_terms, triple_count, rule_count;
-  uint64_t prov_records_meta = 0;
+  uint64_t prov_records_meta;
   if (!meta.ReadU64(&kg_triples) || !meta.ReadU64(&dict_terms) ||
       !meta.ReadU64(&triple_count) || !meta.ReadU64(&rule_count) ||
-      (version >= 2 && !meta.ReadU64(&prov_records_meta)) ||
-      !meta.AtEnd()) {
+      !meta.ReadU64(&prov_records_meta) || !meta.AtEnd()) {
     return Corrupt("meta section");
   }
   ++report.sections_decoded;  // META
@@ -1753,8 +1451,8 @@ Result<LoadedSnapshot> SnapshotReader::Read(const std::string& path,
       ++report.sections_decoded;
     } else {
       TRINIT_RETURN_IF_ERROR(
-          LoadTriplesRaw(file, s, use_views, &triples, &touched));
-      if (use_views) {
+          LoadTriplesRaw(file, s, mapped, &triples, &touched));
+      if (mapped) {
         ++report.sections_mapped;
       } else {
         ++report.sections_decoded;
@@ -1771,18 +1469,14 @@ Result<LoadedSnapshot> SnapshotReader::Read(const std::string& path,
       TRINIT_RETURN_IF_ERROR(
           DecodePermutationsVarint(span_for(kPermutations), &indexes));
       ++report.sections_decoded;
-    } else if (version >= 2) {
-      TRINIT_RETURN_IF_ERROR(LoadPermutationsV2Raw(file, s, use_views,
-                                                   &indexes, &touched));
-      if (use_views) {
+    } else {
+      TRINIT_RETURN_IF_ERROR(
+          LoadPermutationsRaw(file, s, mapped, &indexes, &touched));
+      if (mapped) {
         ++report.sections_mapped;
       } else {
         ++report.sections_decoded;
       }
-    } else {
-      Cursor c = cursor_for(kPermutations);
-      TRINIT_RETURN_IF_ERROR(DecodePermutationsV1(&c, &indexes));
-      ++report.sections_decoded;
     }
   }
   {
@@ -1791,18 +1485,14 @@ Result<LoadedSnapshot> SnapshotReader::Read(const std::string& path,
       TRINIT_RETURN_IF_ERROR(
           DecodeScoreShapesVarint(span_for(kScoreShapes), &indexes));
       ++report.sections_decoded;
-    } else if (version >= 2) {
-      TRINIT_RETURN_IF_ERROR(LoadScoreShapesV2Raw(file, s, use_views,
-                                                  &indexes, &touched));
-      if (use_views) {
+    } else {
+      TRINIT_RETURN_IF_ERROR(
+          LoadScoreShapesRaw(file, s, mapped, &indexes, &touched));
+      if (mapped) {
         ++report.sections_mapped;
       } else {
         ++report.sections_decoded;
       }
-    } else {
-      Cursor c = cursor_for(kScoreShapes);
-      TRINIT_RETURN_IF_ERROR(DecodeScoreShapesV1(&c, &indexes));
-      ++report.sections_decoded;
     }
   }
   report.permutations_restored = indexes.perms.size();
@@ -1815,7 +1505,7 @@ Result<LoadedSnapshot> SnapshotReader::Read(const std::string& path,
       TRINIT_RETURN_IF_ERROR(DecodeGraphStatsVarint(span_for(kGraphStats),
                                                     validation, &stats));
       ++report.sections_decoded;
-    } else if (use_views) {
+    } else if (mapped) {
       TRINIT_RETURN_IF_ERROR(
           LoadGraphStatsRawView(file, s, validation, &stats, &touched));
       ++report.sections_mapped;
@@ -1836,7 +1526,7 @@ Result<LoadedSnapshot> SnapshotReader::Read(const std::string& path,
     TRINIT_RETURN_IF_ERROR(DecodeProvenanceAny(
         span_for(kProvenance), table.at(kProvenance).codec, &provenance,
         &report.provenance_records));
-    if (version >= 2 && report.provenance_records != prov_records_meta) {
+    if (report.provenance_records != prov_records_meta) {
       return Corrupt("provenance record count vs meta");
     }
     ++report.sections_decoded;
@@ -1890,37 +1580,11 @@ Result<LoadedSnapshot> SnapshotReader::Read(const std::string& path,
   }
   if (!loaded.ok()) return loaded.status();
   xkg::Xkg xkg = std::move(loaded).value();
-  if (use_views) {
+  if (mapped) {
     // Index views (and the deferred PROV decode) alias the mapping; it
     // must live exactly as long as this XKG. ExtendKg rebuilds into
     // owned vectors and drops the old XKG — copy-on-write for free.
     xkg.AttachBacking(std::shared_ptr<const void>(mapping));
-  }
-
-  // v3: restore the scatter-gather decomposition exactly as saved —
-  // no re-partitioning, no shape re-sorts, no stats recompute. Views
-  // alias the mapping already parked inside the XKG above;
-  // ShardedStore::FromSnapshot re-proves the partition invariants
-  // under kFull. A zero shard count (saved unsharded) leaves the
-  // engine's own `shard_count` option in charge.
-  if (version >= 3) {
-    std::vector<rdf::ShardedStore::ShardSnapshot> parts;
-    TRINIT_RETURN_IF_ERROR(LoadShardsRaw(file, table.at(kShards), use_views,
-                                         validation, &parts, &touched));
-    if (use_views) {
-      ++report.sections_mapped;
-    } else {
-      ++report.sections_decoded;
-    }
-    if (!parts.empty()) {
-      TRINIT_ASSIGN_OR_RETURN(
-          rdf::ShardedStore sharded,
-          rdf::ShardedStore::FromSnapshot(xkg.store(), std::move(parts),
-                                          validation));
-      report.shard_count = sharded.shard_count();
-      report.resident_bytes += sharded.resident_bytes();
-      xkg.AdoptSharding(std::move(sharded));
-    }
   }
 
   relax::RuleSet rules;

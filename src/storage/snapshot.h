@@ -25,16 +25,7 @@ namespace trinit::storage {
 ///             codec), byte offset, byte length, FNV-1a 64 checksum of
 ///             the payload
 ///   sections  8-byte-aligned little-endian payloads:
-///             META, DICT, TRIPLES, PERMS, SCORE, STATS, PROV, RULES,
-///             and (v3) SHARDS — the engine's scatter-gather
-///             decomposition: per shard, its member-id list, its
-///             materialized score shapes, and its own STATS block, all
-///             in the same viewable raw layouts as the global sections
-///             (SHARDS is always raw — per-shard subsections stay
-///             zero-copy under LoadMode::kMapped). A v3 file written
-///             by an unsharded engine carries an empty SHARDS section
-///             (shard count 0); a sharded snapshot restores its own
-///             decomposition, overriding `TrinitOptions::shard_count`.
+///             META, DICT, TRIPLES, PERMS, SCORE, STATS, PROV, RULES
 ///
 /// Two orthogonal axes extend the plain "write raw, read a copy" story:
 ///
@@ -51,12 +42,11 @@ namespace trinit::storage {
 /// rebuild copies into owned vectors (copy-on-write; see
 /// docs/CONCURRENCY.md, "Mapping lifetime"). Mapped mode falls back to
 /// the copying path when mmap is unavailable, and to decoding when a
-/// section is codec-compressed or the file is format v1 (whose array
-/// layouts are not alignment-safe to view).
+/// section is codec-compressed.
 ///
 /// *Section codec* (`WriteOptions::codec`, recorded per section in the
-/// table's flag byte). `SectionCodec::kRaw` is byte-identical in
-/// semantics to format v1. `SectionCodec::kVarintDelta` applies the
+/// table's flag byte). `SectionCodec::kRaw` stores fixed-width
+/// little-endian records. `SectionCodec::kVarintDelta` applies the
 /// classic inverted-index compression — LEB128 varints over deltas of
 /// the sorted arrays, zigzag for signed residuals, and a front-coded
 /// sorted sentence table for provenance text — to the five bulk
@@ -76,11 +66,10 @@ namespace trinit::storage {
 /// bounds-checked before use), but corrupt array *contents* inside an
 /// intact frame are served as-is — that is the contract.
 ///
-/// Versioning policy: `kSnapshotVersion` is bumped on ANY layout
-/// change; the reader accepts `kMinSnapshotVersion`..`kSnapshotVersion`
-/// (FailedPrecondition otherwise) and callers re-save from the
-/// TSV/world source to upgrade. v1 files (no codec byte, unaligned
-/// array layouts) load correctly through the copying decode path.
+/// Versioning policy: one version. `kSnapshotVersion` is bumped on ANY
+/// layout change and is the only version written or read; any other
+/// version is FailedPrecondition, and callers re-save from the
+/// TSV/world source to upgrade.
 /// Error taxonomy, all typed `util::Status` (never a crash, no UB on
 /// hostile bytes):
 ///
@@ -100,11 +89,8 @@ namespace trinit::storage {
 /// section's integrity check; persisting a hash table would grow every
 /// snapshot to save microseconds.
 
-/// Newest format version this build writes and reads.
-inline constexpr uint32_t kSnapshotVersion = 3;
-/// Oldest format version this build still reads (and can be asked to
-/// write, for compatibility tests).
-inline constexpr uint32_t kMinSnapshotVersion = 1;
+/// The one format version this build writes and reads.
+inline constexpr uint32_t kSnapshotVersion = 4;
 
 /// Leading 8 bytes of every TriniT snapshot file.
 inline constexpr char kSnapshotMagic[8] = {'T', 'R', 'N', 'T',
@@ -113,19 +99,15 @@ inline constexpr char kSnapshotMagic[8] = {'T', 'R', 'N', 'T',
 /// Per-section compression codec, recorded in the section table's flag
 /// byte. Values are wire format — do not renumber.
 enum class SectionCodec : uint8_t {
-  kRaw = 0,          ///< fixed-width little-endian records (v1 semantics)
+  kRaw = 0,          ///< fixed-width little-endian records
   kVarintDelta = 1,  ///< LEB128 varint + delta/zigzag (+ front-coded
                      ///< sentence table in PROV)
 };
 
 struct WriteOptions {
   /// Codec for the five bulk sections (TRIPLES, PERMS, SCORE, STATS,
-  /// PROV); META/DICT/RULES are always raw. Requires format_version 2.
+  /// PROV); META/DICT/RULES are always raw.
   SectionCodec codec = SectionCodec::kRaw;
-  /// Wire format to emit; `kMinSnapshotVersion`..`kSnapshotVersion`.
-  /// Writing v1 (compat escape hatch, exercised by tests) forbids
-  /// codecs.
-  uint32_t format_version = kSnapshotVersion;
 };
 
 enum class LoadMode : uint8_t {
@@ -135,8 +117,8 @@ enum class LoadMode : uint8_t {
 
 struct ReadOptions {
   LoadMode mode = LoadMode::kCopy;
-  /// kTrusted only changes behavior in mapped mode on v2+ files; the
-  /// copying path always fully verifies.
+  /// kTrusted only changes behavior in mapped mode; the copying path
+  /// always fully verifies.
   rdf::SnapshotValidation verify = rdf::SnapshotValidation::kFull;
   /// Mapped mode only: hint the kernel (posix_madvise WILLNEED) to
   /// start readahead on the viewed bulk sections, so first-query page
@@ -195,9 +177,6 @@ struct LoadReport {
   size_t sections_decoded = 0;  ///< sections materialized into memory
   size_t sections_raw = 0;      ///< table codec bytes: SectionCodec::kRaw
   size_t sections_varint = 0;   ///< table codec bytes: kVarintDelta
-  /// Shards of the restored scatter-gather decomposition (0 when the
-  /// snapshot was saved unsharded or predates v3).
-  size_t shard_count = 0;
   /// Bytes covered by madvise(WILLNEED) readahead hints
   /// (`ReadOptions::prefetch` on a mapped load); 0 otherwise.
   size_t bytes_prefetched = 0;

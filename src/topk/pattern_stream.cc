@@ -98,9 +98,6 @@ LeafStream::LeafStream(const xkg::Xkg& xkg, const scoring::LmScorer& scorer,
       matched_form_(pattern.ToString()),
       chain_rules_(std::move(chain_rules)),
       num_vars_(vars.size()) {
-  const rdf::ShardedStore* sharded = xkg.sharded();
-  per_shard_decoded_.resize(sharded == nullptr ? 1 : sharded->shard_count(),
-                            0);
   std::vector<SlotAlternative> s_alts = ExpandSlot(xkg, scorer, pattern.s);
   std::vector<SlotAlternative> p_alts = ExpandSlot(xkg, scorer, pattern.p);
   std::vector<SlotAlternative> o_alts = ExpandSlot(xkg, scorer, pattern.o);
@@ -128,33 +125,13 @@ LeafStream::LeafStream(const xkg::Xkg& xkg, const scoring::LmScorer& scorer,
       for (const SlotAlternative& oa : o_alts) {
         if (!combos_seen.insert({sa.id, pa.id, oa.id}).second) continue;
 
-        Cursor cursor;
-        if (sharded != nullptr) {
-          // Scatter: one segment per non-empty shard, under the global
-          // (exact, summed) mass. The segment-head merge in DecodeChunk
-          // reproduces the unsharded list order bit-for-bit.
-          rdf::ShardedStore::Lists lists =
-              sharded->ScoreOrdered(xkg.store(), sa.id, pa.id, oa.id);
-          for (size_t shard = 0; shard < lists.per_shard.size(); ++shard) {
-            const std::span<const rdf::TripleId> ids =
-                lists.per_shard[shard].ids;
-            if (ids.empty()) continue;
-            cursor.segments.push_back(
-                {ids, 0, static_cast<uint32_t>(shard)});
-            cursor.remaining += ids.size();
-          }
-          cursor.mass = lists.mass;
-        } else {
-          rdf::ScoreOrderIndex::List list =
-              xkg.store().ScoreOrdered(sa.id, pa.id, oa.id);
-          if (!list.ids.empty()) {
-            cursor.segments.push_back({list.ids, 0, 0});
-            cursor.remaining = list.ids.size();
-          }
-          cursor.mass = list.mass;
-        }
-        if (cursor.remaining == 0) continue;
+        rdf::ScoreOrderIndex::List list =
+            xkg.store().ScoreOrdered(sa.id, pa.id, oa.id);
+        if (list.ids.empty()) continue;
 
+        Cursor cursor;
+        cursor.ids = list.ids;
+        cursor.mass = list.mass;
         cursor.alt_log =
             sa.log_sim + pa.log_sim + oa.log_sim + chain_weight_log;
         for (const SlotAlternative* alt : {&sa, &pa, &oa}) {
@@ -162,14 +139,13 @@ LeafStream::LeafStream(const xkg::Xkg& xkg, const scoring::LmScorer& scorer,
             cursor.soft_matches.push_back(alt->soft_match);
           }
         }
-        const size_t head = *BestSegment(cursor);
         cursor.bound =
             scorer.UpperBoundForList(
-                rdf::ScoreOrderIndex::WeightOf(xkg.store().triple(
-                    cursor.segments[head].ids.front())),
+                rdf::ScoreOrderIndex::WeightOf(
+                    xkg.store().triple(cursor.ids.front())),
                 cursor.mass) +
             cursor.alt_log;
-        total_entries_ += cursor.remaining;
+        total_entries_ += cursor.ids.size();
         cursors_.push_back(std::move(cursor));
       }
     }
@@ -186,44 +162,17 @@ LeafStream::LeafStream(const xkg::Xkg& xkg, const scoring::LmScorer& scorer,
 std::optional<size_t> LeafStream::BestCursor() {
   return cursor_heap_.Best([this](size_t ci) -> std::optional<double> {
     const Cursor& c = cursors_[ci];
-    if (c.remaining == 0) return std::nullopt;
+    if (c.pos >= c.ids.size()) return std::nullopt;
     return c.bound;
   });
 }
 
-std::optional<size_t> LeafStream::BestSegment(const Cursor& cursor) const {
-  // Merge point of the scatter-gather: the cursor's globally-next entry
-  // is the best segment head under the posting-list order (weight desc,
-  // id asc). Shard lists partition a single key block of the global
-  // list, so this pick sequence equals the unsharded decode sequence.
-  std::optional<size_t> best;
-  double best_weight = 0.0;
-  for (size_t si = 0; si < cursor.segments.size(); ++si) {
-    const Segment& seg = cursor.segments[si];
-    if (seg.pos >= seg.ids.size()) continue;
-    const double weight = rdf::ScoreOrderIndex::WeightOf(
-        xkg_.store().triple(seg.ids[seg.pos]));
-    if (!best.has_value() || weight > best_weight ||
-        (weight == best_weight &&
-         seg.ids[seg.pos] <
-             cursor.segments[*best].ids[cursor.segments[*best].pos])) {
-      best = si;
-      best_weight = weight;
-    }
-  }
-  return best;
-}
-
 void LeafStream::DecodeChunk(Cursor& cursor) {
-  const size_t budget = std::min(kDecodeChunk, cursor.remaining);
-  for (size_t step = 0; step < budget; ++step) {
-    Segment& seg = cursor.segments[*BestSegment(cursor)];
-    const rdf::TripleId id = seg.ids[seg.pos];
-    ++seg.pos;
-    --cursor.remaining;
+  size_t limit = std::min(cursor.pos + kDecodeChunk, cursor.ids.size());
+  for (; cursor.pos < limit; ++cursor.pos) {
+    rdf::TripleId id = cursor.ids[cursor.pos];
     const rdf::Triple& t = xkg_.store().triple(id);
     ++decoded_;
-    ++per_shard_decoded_[seg.shard];
 
     Pending pending;
     pending.item.binding = query::Binding(num_vars_);
@@ -236,7 +185,6 @@ void LeafStream::DecodeChunk(Cursor& cursor) {
     pending.score = scorer_.ScoreTriple(t, cursor.mass) + cursor.alt_log;
     pending.seq = next_seq_++;
     pending.item.log_score = pending.score;
-    pending.item.shard = seg.shard;
     pending.item.step.pattern_index = pattern_index_;
     pending.item.step.matched_form = matched_form_;
     pending.item.step.rules = chain_rules_;
@@ -248,14 +196,12 @@ void LeafStream::DecodeChunk(Cursor& cursor) {
   }
   bound_dirty_ = true;
   // Undecoded remainder bound, from the next (= heaviest remaining)
-  // entry; monotone because every segment descends by weight.
-  const std::optional<size_t> next = BestSegment(cursor);
+  // entry; monotone because the list descends by weight.
   cursor.bound =
-      next.has_value()
+      cursor.pos < cursor.ids.size()
           ? scorer_.UpperBoundForList(
-                rdf::ScoreOrderIndex::WeightOf(xkg_.store().triple(
-                    cursor.segments[*next]
-                        .ids[cursor.segments[*next].pos])),
+                rdf::ScoreOrderIndex::WeightOf(
+                    xkg_.store().triple(cursor.ids[cursor.pos])),
                 cursor.mass) +
                 cursor.alt_log
           : kExhausted;
@@ -305,13 +251,13 @@ double LeafStream::BestPossible() {
 }
 
 BindingStream::Stats LeafStream::DecodeStats() const {
-  return {decoded_, total_entries_ - decoded_, per_shard_decoded_};
+  return {decoded_, total_entries_ - decoded_};
 }
 
 size_t LeafStream::size() {
   // Force-decode everything; what survives binding is what will emit.
   for (Cursor& c : cursors_) {
-    while (c.remaining > 0) DecodeChunk(c);
+    while (c.pos < c.ids.size()) DecodeChunk(c);
   }
   return popped_ + heap_.size() + (current_.has_value() ? 1 : 0);
 }

@@ -31,10 +31,6 @@ class BindingStream {
   struct Item {
     query::Binding binding;  ///< over the consumer's VarTable
     double log_score = 0.0;
-    /// Shard that owned the triple this item decoded from (0 when the
-    /// engine serves unsharded); rides through wrapper streams so the
-    /// join engine can account pulls per shard.
-    uint32_t shard = 0;
     DerivationStep step;
   };
 
@@ -42,20 +38,10 @@ class BindingStream {
   struct Stats {
     size_t items_decoded = 0;  ///< index entries fetched and scored
     size_t items_skipped = 0;  ///< entries in known lists never decoded
-    /// items_decoded split by owning shard; empty for streams that never
-    /// touch a sharded store (unsharded engines stay on size-0/1 so
-    /// their traces are unchanged).
-    std::vector<size_t> per_shard_decoded;
 
     Stats& operator+=(const Stats& other) {
       items_decoded += other.items_decoded;
       items_skipped += other.items_skipped;
-      if (per_shard_decoded.size() < other.per_shard_decoded.size()) {
-        per_shard_decoded.resize(other.per_shard_decoded.size(), 0);
-      }
-      for (size_t i = 0; i < other.per_shard_decoded.size(); ++i) {
-        per_shard_decoded[i] += other.per_shard_decoded[i];
-      }
       return *this;
     }
   };
@@ -194,27 +180,12 @@ class LeafStream : public BindingStream {
   size_t size();
 
  private:
-  /// One shard's share of a cursor's posting list. Unsharded engines use
-  /// a single segment over the store's global list; sharded engines use
-  /// one per non-empty shard. Every pattern shape resolves to a single
-  /// key block, inside which the order is purely (weight desc, id asc) —
-  /// so merging segment heads under that comparator reproduces the
-  /// global list bit-for-bit, and the decode sequence (hence seq
-  /// numbers, bounds, and emitted scores) is independent of the shard
-  /// count.
-  struct Segment {
+  /// One slot-alternative combination: a score-ordered posting list
+  /// with its attenuation and soft-match records.
+  struct Cursor {
     std::span<const rdf::TripleId> ids;  // descending emission weight
     size_t pos = 0;                      // next undecoded entry
-    uint32_t shard = 0;                  // owning shard (0 unsharded)
-  };
-
-  /// One slot-alternative combination: a score-ordered posting list
-  /// (split into per-shard segments) with its attenuation and
-  /// soft-match records.
-  struct Cursor {
-    std::vector<Segment> segments;
-    size_t remaining = 0;  // undecoded entries across all segments
-    uint64_t mass = 0;     // emission denominator (global, all shards)
+    uint64_t mass = 0;                   // emission denominator
     double alt_log = 0.0;  // soft-match + chain attenuation (<= 0)
     double bound = 0.0;    // upper bound on any undecoded item
     std::vector<SoftMatch> soft_matches;
@@ -228,10 +199,6 @@ class LeafStream : public BindingStream {
   };
   static bool PendingLess(const Pending& a, const Pending& b);
 
-  /// Segment holding the cursor's globally-next entry: max head weight,
-  /// ties by min head id (the posting-list comparator). nullopt when
-  /// every segment is drained.
-  std::optional<size_t> BestSegment(const Cursor& cursor) const;
   void DecodeChunk(Cursor& cursor);
   /// Decodes until the heap's best is safe to emit (no cursor bound
   /// above it), then moves it into `current_`.
@@ -248,7 +215,6 @@ class LeafStream : public BindingStream {
   std::vector<Pending> heap_;  // std::push_heap max-heap
   std::optional<Item> current_;
   size_t decoded_ = 0;
-  std::vector<size_t> per_shard_decoded_;  // by shard; size 1 unsharded
   size_t total_entries_ = 0;
   size_t popped_ = 0;
   uint64_t next_seq_ = 0;

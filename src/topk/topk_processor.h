@@ -61,11 +61,6 @@ struct TopKResult {
     size_t partition_fallbacks = 0;  ///< probes degraded to linear scan
     size_t plan_cache_hits = 0;    ///< variants served a cached plan
     size_t plan_cache_misses = 0;  ///< structures compiled fresh
-    /// Items pulled per owning XKG shard (scatter-gather balance); at
-    /// most one element when the engine serves unsharded. Traces emit
-    /// the balance counters uniformly — an unsharded run reports
-    /// `shards=1` with `shard_pulls_max=items_pulled` (PR 10).
-    std::vector<size_t> per_shard_pulled;
     /// The run's wall-clock deadline expired before the rewrite space
     /// was fully explored; `answers` holds the best found in budget.
     bool deadline_hit = false;

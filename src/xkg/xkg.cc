@@ -59,19 +59,6 @@ Result<Xkg> Xkg::FromPartsLazyProvenance(
   return xkg;
 }
 
-void Xkg::InstallSharding(size_t shard_count) {
-  if (shard_count <= 1) {
-    sharded_.reset();
-    return;
-  }
-  sharded_ = std::make_unique<rdf::ShardedStore>(
-      rdf::ShardedStore::Build(store_, shard_count));
-  // The planner consumes merged per-shard stats from here on. The merge
-  // is bit-identical to GraphStats::Compute over the whole store
-  // (property-tested), so plans do not change with the shard count.
-  stats_ = std::make_unique<rdf::GraphStats>(sharded_->MergedStats());
-}
-
 const Xkg::ProvenanceMap& Xkg::DecodedProvenance() const {
   if (lazy_provenance_ == nullptr) return provenance_;
   LazyProvenance* lazy = lazy_provenance_.get();

@@ -4,7 +4,7 @@
 // captures a deliberately-slow request with its full span tree, the
 // metrics registry counts engine work exactly, and observation is
 // consistent across every way of standing the same engine up
-// (TSV-built, snapshot copy, mmap/trusted, sharded).
+// (TSV-built, snapshot copy, mmap/trusted).
 
 #include <gtest/gtest.h>
 
@@ -196,9 +196,9 @@ TEST(ObservabilityTest, SlowLogCapturesSlowRequestWithSpanTree) {
 }
 
 TEST(ObservabilityTest, ObservationConsistentAcrossEngineOrigins) {
-  // Stand the same serving state up four ways: TSV/world-built,
-  // snapshot reloaded (copy + verified), snapshot mmap + trusted, and
-  // hash-sharded. Each must emit the identical traced counter key set
+  // Stand the same serving state up three ways: TSV/world-built,
+  // snapshot reloaded (copy + verified), and snapshot mmap + trusted.
+  // Each must emit the identical traced counter key set
   // and a registry whose per-engine deltas reconcile with the
   // per-request stats it served.
   Trinit built = OpenPaperEngine();
@@ -208,8 +208,6 @@ TEST(ObservabilityTest, ObservationConsistentAcrossEngineOrigins) {
   TrinitOptions mmap_options;
   mmap_options.snapshot_read.mode = storage::LoadMode::kMapped;
   mmap_options.snapshot_read.verify = rdf::SnapshotValidation::kTrusted;
-  TrinitOptions sharded_options;
-  sharded_options.shard_count = 4;
 
   struct EngineUnderTest {
     std::string name;
@@ -223,7 +221,6 @@ TEST(ObservabilityTest, ObservationConsistentAcrossEngineOrigins) {
   engines.push_back({"built", std::move(built)});
   engines.push_back({"copy", std::move(copy_opened).value()});
   engines.push_back({"mmap+trusted", std::move(mmap_opened).value()});
-  engines.push_back({"sharded", OpenPaperEngine(sharded_options)});
 
   std::vector<std::string> reference_keys;
   for (EngineUnderTest& e : engines) {
@@ -247,7 +244,7 @@ TEST(ObservabilityTest, ObservationConsistentAcrossEngineOrigins) {
         reference_keys = keys;
       } else {
         // The uniform vocabulary: same keys, same order, on every
-        // engine origin and shard count.
+        // engine origin.
         EXPECT_EQ(keys, reference_keys) << q;
       }
     }

@@ -277,14 +277,22 @@ TEST(SnapshotTest, WrongVersionIsFailedPrecondition) {
   Fixture f;
   const std::string path = TempPath("version.trinit");
   ASSERT_TRUE(SnapshotWriter::Write(f.xkg, f.rules, 0, path).ok());
-  std::string bytes = Slurp(path);
-  // The version field sits right after the 8-byte magic.
-  uint32_t bumped = kSnapshotVersion + 1;
-  std::memcpy(bytes.data() + 8, &bumped, sizeof(bumped));
-  Spit(path, bytes);
-  auto r = SnapshotReader::Read(path);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
+  const std::string pristine = Slurp(path);
+  // One version is read: every older format and the next one are
+  // rejected as "ours, re-save it", in every load mode.
+  for (const uint32_t version : {1u, 2u, 3u, kSnapshotVersion + 1}) {
+    std::string bytes = pristine;
+    // The version field sits right after the 8-byte magic.
+    std::memcpy(bytes.data() + 8, &version, sizeof(version));
+    Spit(path, bytes);
+    for (const ReadOptions& options :
+         {kCopyRead, kMappedRead, kTrustedRead}) {
+      auto r = SnapshotReader::Read(path, options);
+      ASSERT_FALSE(r.ok()) << "version " << version;
+      EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition)
+          << "version " << version;
+    }
+  }
 }
 
 TEST(SnapshotTest, TruncationsAreRejectedCleanly) {
@@ -379,12 +387,11 @@ TEST(SnapshotTest, MatrixRoundTripsByteIdenticallyAcrossModesAndCodecs) {
   Fixture f;
   const std::string raw_path = TempPath("matrix_raw.trinit");
   const std::string varint_path = TempPath("matrix_varint.trinit");
-  ASSERT_TRUE(SnapshotWriter::Write(f.xkg, f.rules, 9, raw_path,
-                                    {SectionCodec::kRaw, kSnapshotVersion})
-                  .ok());
-  ASSERT_TRUE(SnapshotWriter::Write(
-                  f.xkg, f.rules, 9, varint_path,
-                  {SectionCodec::kVarintDelta, kSnapshotVersion})
+  ASSERT_TRUE(
+      SnapshotWriter::Write(f.xkg, f.rules, 9, raw_path, {SectionCodec::kRaw})
+          .ok());
+  ASSERT_TRUE(SnapshotWriter::Write(f.xkg, f.rules, 9, varint_path,
+                                    {SectionCodec::kVarintDelta})
                   .ok());
   // The codec earns its keep on real worlds (bench-gated at >=2x); on
   // the tiny paper fixture it must at least strictly shrink the file.
@@ -410,10 +417,7 @@ TEST(SnapshotTest, MatrixRoundTripsByteIdenticallyAcrossModesAndCodecs) {
     EXPECT_EQ(loaded->generation, 9u) << c.label;
 
     const LoadReport& r = loaded->report;
-    // v3 files carry nine sections (the SHARDS decomposition rides
-    // along, empty on this unsharded fixture).
-    EXPECT_EQ(r.sections_raw + r.sections_varint, 9u) << c.label;
-    EXPECT_EQ(r.shard_count, 0u) << c.label;
+    EXPECT_EQ(r.sections_raw + r.sections_varint, 8u) << c.label;
     const bool mapped_mode = c.options.mode == LoadMode::kMapped &&
                              MappedFile::Supported();
     EXPECT_EQ(r.mapped, mapped_mode) << c.label;
@@ -435,40 +439,6 @@ TEST(SnapshotTest, MatrixRoundTripsByteIdenticallyAcrossModesAndCodecs) {
     EXPECT_EQ(r.sections_varint, c.path == varint_path ? 5u : 0u)
         << c.label;
   }
-}
-
-TEST(SnapshotTest, V1FormatStillWritesAndLoadsInBothModes) {
-  Fixture f;
-  const std::string path = TempPath("v1_compat.trinit");
-  ASSERT_TRUE(SnapshotWriter::Write(f.xkg, f.rules, 4, path,
-                                    {SectionCodec::kRaw, 1})
-                  .ok());
-  for (const ReadOptions& options : {kCopyRead, kMappedRead, kTrustedRead}) {
-    auto loaded = SnapshotReader::Read(path, options);
-    ASSERT_TRUE(loaded.ok()) << loaded.status();
-    ExpectSameState(f, *loaded, "v1");
-    EXPECT_EQ(loaded->generation, 4u);
-    // v1 layouts are not alignment-safe to view: even mapped+trusted
-    // opens degrade to the fully-verifying copying decode.
-    EXPECT_EQ(loaded->report.sections_mapped, 0u);
-    EXPECT_FALSE(loaded->report.provenance_deferred);
-    EXPECT_EQ(loaded->report.bytes_touched, loaded->report.bytes);
-  }
-}
-
-TEST(SnapshotTest, WriterRejectsImpossibleOptions) {
-  Fixture f;
-  const std::string path = TempPath("bad_options.trinit");
-  // v1 has no codec byte to record a codec in.
-  auto s = SnapshotWriter::Write(f.xkg, f.rules, 0, path,
-                                 {SectionCodec::kVarintDelta, 1});
-  ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-  // Unknown future format version.
-  s = SnapshotWriter::Write(f.xkg, f.rules, 0, path,
-                            {SectionCodec::kRaw, kSnapshotVersion + 1});
-  ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
 }
 
 // --------------------------------------------- hostile mapped files
@@ -509,20 +479,6 @@ TEST(SnapshotTest, CodecOnUncompressibleSectionIsRejected) {
   SetSectionFlags(&bytes, kMetaId, 1);  // META is always raw
   Spit(path, bytes);
   auto r = SnapshotReader::Read(path, kTrustedRead);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kParseError);
-}
-
-TEST(SnapshotTest, CodecByteInV1SnapshotIsRejected) {
-  Fixture f;
-  const std::string path = TempPath("v1_codec.trinit");
-  ASSERT_TRUE(SnapshotWriter::Write(f.xkg, f.rules, 0, path,
-                                    {SectionCodec::kRaw, 1})
-                  .ok());
-  std::string bytes = Slurp(path);
-  SetSectionFlags(&bytes, kTriplesId, 1);  // v1 files carry no codecs
-  Spit(path, bytes);
-  auto r = SnapshotReader::Read(path, kCopyRead);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kParseError);
 }
@@ -608,9 +564,8 @@ TEST(SnapshotTest, FlippedBytesNeverLoadSilentlyWrongInMappedMode) {
 TEST(SnapshotTest, CorruptVarintStreamIsRejectedNotUb) {
   Fixture f;
   const std::string path = TempPath("corrupt_varint.trinit");
-  ASSERT_TRUE(SnapshotWriter::Write(
-                  f.xkg, f.rules, 0, path,
-                  {SectionCodec::kVarintDelta, kSnapshotVersion})
+  ASSERT_TRUE(SnapshotWriter::Write(f.xkg, f.rules, 0, path,
+                                    {SectionCodec::kVarintDelta})
                   .ok());
   const std::string pristine = Slurp(path);
   auto [offset, length] = SectionExtent(pristine, kTriplesId);
