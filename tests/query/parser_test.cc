@@ -92,6 +92,10 @@ struct BadQueryCase {
   const char* why;
 };
 
+// Names each case by its reason, so test names do not carry the
+// (address-randomized) bytes of the two pointers.
+void PrintTo(const BadQueryCase& c, std::ostream* os) { *os << c.why; }
+
 class ParserErrorTest : public ::testing::TestWithParam<BadQueryCase> {};
 
 TEST_P(ParserErrorTest, RejectsMalformedInput) {

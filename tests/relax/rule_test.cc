@@ -167,6 +167,10 @@ struct BadRuleCase {
   const char* why;
 };
 
+// Names each case by its reason, so test names do not carry the
+// (address-randomized) bytes of the two pointers.
+void PrintTo(const BadRuleCase& c, std::ostream* os) { *os << c.why; }
+
 class ManualRuleErrorTest : public ::testing::TestWithParam<BadRuleCase> {};
 
 TEST_P(ManualRuleErrorTest, Rejects) {
