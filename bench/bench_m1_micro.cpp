@@ -1,6 +1,7 @@
 // Exhibit M1 — substrate micro-benchmarks (google-benchmark): the
 // dictionary, the 6-permutation triple store, the phrase index, the
-// Open IE extractor, and the end-to-end per-query cost of the top-k
+// Open IE extractor, the leaf-stream drain and pattern-group join behind
+// expansion rules, and the end-to-end per-query cost of the top-k
 // processor on the paper world.
 
 #include <benchmark/benchmark.h>
@@ -8,7 +9,9 @@
 #include "bench_util.h"
 #include "openie/extractor.h"
 #include "query/parser.h"
+#include "synth/kg_generator.h"
 #include "text/phrase_index.h"
+#include "topk/relaxed_stream.h"
 #include "util/random.h"
 
 namespace {
@@ -120,6 +123,74 @@ void BM_OpenIeExtract(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_OpenIeExtract);
+
+// The synthetic world the explore workload queries (38k triples) with
+// its mined rules, and the mined expansion (bridge) rule whose
+// right-hand side decodes the most index entries.
+struct BridgeRhs {
+  explicit BridgeRhs(core::Trinit e)
+      : engine(std::move(e)), scorer(engine.xkg()) {}
+  core::Trinit engine;
+  scoring::LmScorer scorer;
+  query::VarTable global_vars{std::vector<std::string>{"x", "y"}};
+  topk::Alternative rhs;
+};
+
+const BridgeRhs& SynthBridgeRhs() {
+  static const BridgeRhs* rhs = [] {
+    auto engine = core::Trinit::FromWorld(
+        synth::KgGenerator::Generate(synth::WorldSpec::Scaled(50000)));
+    if (!engine.ok()) std::abort();
+    auto* out = new BridgeRhs(std::move(engine).value());
+    size_t most_decoded = 0;
+    for (const relax::Rule& rule : out->engine.rules().rules()) {
+      if (rule.kind != relax::RuleKind::kExpansion) continue;
+      topk::Alternative alt{rule.rhs, rule.weight, {&rule}};
+      topk::GroupStream group(out->engine.xkg(), out->scorer,
+                              out->global_vars, alt, 0);
+      if (group.DecodeStats().items_decoded > most_decoded) {
+        most_decoded = group.DecodeStats().items_decoded;
+        out->rhs = std::move(alt);
+      }
+    }
+    if (most_decoded == 0) std::abort();  // no expansion rule mined
+    return out;
+  }();
+  return *rhs;
+}
+
+// Opens and fully drains every member pattern of the bridge RHS into
+// compact rows: the leaf half of a group build.
+void BM_LeafStreamDrain(benchmark::State& state) {
+  const BridgeRhs& b = SynthBridgeRhs();
+  query::VarTable local(std::vector<std::string>{"x", "y", "z"});
+  size_t rows = 0;
+  for (auto _ : state) {
+    for (const query::TriplePattern& pattern : b.rhs.patterns) {
+      topk::LeafStream leaf(b.engine.xkg(), b.scorer, local, pattern, 0);
+      std::vector<topk::LeafStream::Row> drained = leaf.DrainRows();
+      rows += drained.size();
+      benchmark::DoNotOptimize(drained.data());
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(rows));
+}
+BENCHMARK(BM_LeafStreamDrain);
+
+// Builds the bridge RHS group stream: drain every member, then the hash
+// join on the shared variable and the score sort.
+void BM_GroupStreamBuild(benchmark::State& state) {
+  const BridgeRhs& b = SynthBridgeRhs();
+  size_t decoded = 0;
+  for (auto _ : state) {
+    topk::GroupStream group(b.engine.xkg(), b.scorer, b.global_vars, b.rhs,
+                            0);
+    decoded += group.DecodeStats().items_decoded;
+    benchmark::DoNotOptimize(group.size());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(decoded));
+}
+BENCHMARK(BM_GroupStreamBuild);
 
 void BM_PaperWorldQuery(benchmark::State& state) {
   core::Trinit engine = bench::OpenPaperEngine();

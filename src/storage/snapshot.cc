@@ -1325,13 +1325,13 @@ Result<LoadedSnapshot> SnapshotReader::Read(const std::string& path,
   // Section table: bounds and codec sanity before any payload access.
   std::unordered_map<uint32_t, SectionRef> table;
   for (uint32_t i = 0; i < kNumSections; ++i) {
-    uint32_t id, flags;
+    uint32_t id = 0, flags = 0;
     SectionRef s;
-    header.ReadU32(&id);
-    header.ReadU32(&flags);
-    header.ReadU64(&s.offset);
-    header.ReadU64(&s.length);
-    header.ReadU64(&s.checksum);
+    if (!header.ReadU32(&id) || !header.ReadU32(&flags) ||
+        !header.ReadU64(&s.offset) || !header.ReadU64(&s.length) ||
+        !header.ReadU64(&s.checksum)) {
+      return Corrupt("truncated section table");
+    }
     if (s.offset > file.size() || s.length > file.size() - s.offset) {
       return Corrupt("section " + std::to_string(id) +
                      " out of bounds (truncated file?)");

@@ -81,7 +81,7 @@ std::vector<SlotAlternative> ExpandSlot(const xkg::Xkg& xkg,
 
 // Max-heap ordering: higher score wins, earlier decode order breaks
 // ties (keeps the emission sequence deterministic).
-bool LeafStream::PendingLess(const Pending& a, const Pending& b) {
+bool LeafStream::RowLess(const Row& a, const Row& b) {
   if (a.score != b.score) return a.score < b.score;
   return a.seq > b.seq;
 }
@@ -110,6 +110,9 @@ LeafStream::LeafStream(const xkg::Xkg& xkg, const scoring::LmScorer& scorer,
   sv_ = var_id(pattern.s);
   pv_ = var_id(pattern.p);
   ov_ = var_id(pattern.o);
+  same_sp_ = sv_.has_value() && sv_ == pv_;
+  same_so_ = sv_.has_value() && sv_ == ov_;
+  same_po_ = pv_.has_value() && pv_ == ov_;
 
   // One cursor per distinct slot-alternative combination with matches.
   // Nothing is decoded here: a cursor is a span into the score-ordered
@@ -167,32 +170,20 @@ std::optional<size_t> LeafStream::BestCursor() {
   });
 }
 
-void LeafStream::DecodeChunk(Cursor& cursor) {
+void LeafStream::DecodeChunk(size_t ci, std::vector<Row>& out) {
+  Cursor& cursor = cursors_[ci];
   size_t limit = std::min(cursor.pos + kDecodeChunk, cursor.ids.size());
   for (; cursor.pos < limit; ++cursor.pos) {
     rdf::TripleId id = cursor.ids[cursor.pos];
     const rdf::Triple& t = xkg_.store().triple(id);
     ++decoded_;
-
-    Pending pending;
-    pending.item.binding = query::Binding(num_vars_);
-    bool ok = true;
-    if (sv_) ok = ok && pending.item.binding.Bind(*sv_, t.s);
-    if (pv_) ok = ok && pending.item.binding.Bind(*pv_, t.p);
-    if (ov_) ok = ok && pending.item.binding.Bind(*ov_, t.o);
-    if (!ok) continue;  // repeated variable with conflicting terms
-
-    pending.score = scorer_.ScoreTriple(t, cursor.mass) + cursor.alt_log;
-    pending.seq = next_seq_++;
-    pending.item.log_score = pending.score;
-    pending.item.step.pattern_index = pattern_index_;
-    pending.item.step.matched_form = matched_form_;
-    pending.item.step.rules = chain_rules_;
-    pending.item.step.triples = {id};
-    pending.item.step.soft_matches = cursor.soft_matches;
-    pending.item.step.log_score = pending.score;
-    heap_.push_back(std::move(pending));
-    std::push_heap(heap_.begin(), heap_.end(), PendingLess);
+    // A repeated variable with conflicting terms matches nothing.
+    if ((same_sp_ && t.s != t.p) || (same_so_ && t.s != t.o) ||
+        (same_po_ && t.p != t.o)) {
+      continue;
+    }
+    out.push_back({scorer_.ScoreTriple(t, cursor.mass) + cursor.alt_log,
+                   next_seq_++, id, static_cast<uint32_t>(ci)});
   }
   bound_dirty_ = true;
   // Undecoded remainder bound, from the next (= heaviest remaining)
@@ -207,14 +198,40 @@ void LeafStream::DecodeChunk(Cursor& cursor) {
           : kExhausted;
 }
 
+void LeafStream::DecodeIntoHeap(size_t ci) {
+  size_t heap_size = heap_.size();
+  DecodeChunk(ci, heap_);
+  while (heap_size < heap_.size()) {
+    std::push_heap(heap_.begin(), heap_.begin() + ++heap_size, RowLess);
+  }
+}
+
+BindingStream::Item LeafStream::ItemFor(const Row& row) const {
+  const rdf::Triple& t = xkg_.store().triple(row.triple);
+  Item item;
+  item.binding = query::Binding(num_vars_);
+  // Repeated variables were checked at decode: these cannot conflict.
+  if (sv_) item.binding.Bind(*sv_, t.s);
+  if (pv_) item.binding.Bind(*pv_, t.p);
+  if (ov_) item.binding.Bind(*ov_, t.o);
+  item.log_score = row.score;
+  item.step.pattern_index = pattern_index_;
+  item.step.matched_form = matched_form_;
+  item.step.rules = chain_rules_;
+  item.step.triples = {row.triple};
+  item.step.soft_matches = cursors_[row.cursor].soft_matches;
+  item.step.log_score = row.score;
+  return item;
+}
+
 void LeafStream::Advance() {
   while (true) {
     std::optional<size_t> best = BestCursor();
     double frontier = best.has_value() ? cursors_[*best].bound : kExhausted;
     if (!heap_.empty() && heap_.front().score >= frontier) {
       // Nothing undecoded can outrank the heap top: emit it.
-      std::pop_heap(heap_.begin(), heap_.end(), PendingLess);
-      current_ = std::move(heap_.back().item);
+      std::pop_heap(heap_.begin(), heap_.end(), RowLess);
+      current_ = ItemFor(heap_.back());
       heap_.pop_back();
       return;
     }
@@ -222,8 +239,21 @@ void LeafStream::Advance() {
       current_.reset();  // heap empty and every cursor drained
       return;
     }
-    DecodeChunk(cursors_[*best]);
+    DecodeIntoHeap(*best);
   }
+}
+
+std::vector<LeafStream::Row> LeafStream::DrainRows() {
+  TRINIT_CHECK(heap_.empty() && !current_.has_value() && popped_ == 0);
+  std::vector<Row> rows;
+  while (std::optional<size_t> best = BestCursor()) DecodeChunk(*best, rows);
+  // Rows are in decode order, so a stable sort by score is exactly the
+  // heap's (score desc, seq asc) emission order.
+  std::stable_sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
+    return a.score > b.score;
+  });
+  popped_ = rows.size();
+  return rows;
 }
 
 const BindingStream::Item* LeafStream::Peek() {
@@ -256,8 +286,8 @@ BindingStream::Stats LeafStream::DecodeStats() const {
 
 size_t LeafStream::size() {
   // Force-decode everything; what survives binding is what will emit.
-  for (Cursor& c : cursors_) {
-    while (c.pos < c.ids.size()) DecodeChunk(c);
+  for (size_t ci = 0; ci < cursors_.size(); ++ci) {
+    while (cursors_[ci].pos < cursors_[ci].ids.size()) DecodeIntoHeap(ci);
   }
   return popped_ + heap_.size() + (current_.has_value() ? 1 : 0);
 }

@@ -154,6 +154,12 @@ class StreamHeap {
 /// Deadlines and rank-join thresholds therefore save real work: what
 /// the consumer never pulls is never fetched or scored.
 ///
+/// Decoding yields compact `Row`s (score, decode order, triple, cursor);
+/// repeated variables are checked on the triple itself. The full `Item`
+/// (binding, derivation step, soft matches) is built only when a row is
+/// emitted, so rows decoded but never pulled cost a heap slot, not an
+/// Item.
+///
 /// Token constants soft-match interned token phrases through the phrase
 /// index (threshold from ScorerOptions); each substitution attenuates
 /// the score by log(similarity) and is recorded as a SoftMatch.
@@ -161,6 +167,14 @@ class StreamHeap {
 /// are the rescue path).
 class LeafStream : public BindingStream {
  public:
+  /// One decoded index entry, everything its Item is built from.
+  struct Row {
+    double score = 0.0;
+    uint64_t seq = 0;  ///< decode order; earlier wins ties (determinism)
+    rdf::TripleId triple = 0;
+    uint32_t cursor = 0;  ///< index of the cursor that decoded it
+  };
+
   /// `pattern_index` tags emitted derivation steps; `chain_rules` /
   /// `chain_weight_log` describe the relaxation chain that produced this
   /// form of the pattern (empty/0 for the original form).
@@ -174,6 +188,18 @@ class LeafStream : public BindingStream {
   void Pop() override;
   double BestPossible() override;
   Stats DecodeStats() const override;
+
+  /// Decodes every entry and returns the rows in exactly the order
+  /// Peek()/Pop() would emit them: (score desc, decode order asc).
+  /// Chunks are picked by the same bound-keyed cursor selection, so the
+  /// decode order and DecodeStats() match a full Peek()/Pop() drain.
+  /// Call on a fresh stream; it is exhausted afterwards.
+  std::vector<Row> DrainRows();
+
+  /// Soft-match records shared by every row of `row`'s cursor.
+  const std::vector<SoftMatch>& soft_matches(const Row& row) const {
+    return cursors_[row.cursor].soft_matches;
+  }
 
   /// Total number of items this stream will ever emit. Forces a full
   /// decode — test/bench introspection only; defeats the laziness.
@@ -191,28 +217,28 @@ class LeafStream : public BindingStream {
     std::vector<SoftMatch> soft_matches;
   };
 
-  /// Entry of the decoded-but-unemitted heap.
-  struct Pending {
-    double score = 0.0;
-    uint64_t seq = 0;  // decode order; earlier wins ties (determinism)
-    Item item;
-  };
-  static bool PendingLess(const Pending& a, const Pending& b);
+  // Max-heap order over decoded-but-unemitted rows.
+  static bool RowLess(const Row& a, const Row& b);
 
-  void DecodeChunk(Cursor& cursor);
+  /// Decodes the next chunk of cursor `ci`, appending the rows that
+  /// survive the repeated-variable check to `out` in decode order.
+  void DecodeChunk(size_t ci, std::vector<Row>& out);
+  /// DecodeChunk into the pending-row heap.
+  void DecodeIntoHeap(size_t ci);
   /// Decodes until the heap's best is safe to emit (no cursor bound
-  /// above it), then moves it into `current_`.
+  /// above it), then builds its Item into `current_`.
   void Advance();
   /// Index of the cursor with the highest undecoded-remainder bound via
   /// the lazy heap (cursor bounds only descend), or nullopt when every
   /// cursor is drained.
   std::optional<size_t> BestCursor();
+  Item ItemFor(const Row& row) const;
 
   const xkg::Xkg& xkg_;
   const scoring::LmScorer& scorer_;
   std::vector<Cursor> cursors_;
   LazyMaxHeap<size_t> cursor_heap_;  // bound-keyed cursor selection
-  std::vector<Pending> heap_;  // std::push_heap max-heap
+  std::vector<Row> heap_;  // decoded, unemitted; std::push_heap max-heap
   std::optional<Item> current_;
   size_t decoded_ = 0;
   size_t total_entries_ = 0;
@@ -228,6 +254,8 @@ class LeafStream : public BindingStream {
   std::string matched_form_;
   std::vector<const relax::Rule*> chain_rules_;
   std::optional<query::VarId> sv_, pv_, ov_;
+  // Repeated variables: slot pairs whose terms must be equal.
+  bool same_sp_ = false, same_so_ = false, same_po_ = false;
   size_t num_vars_ = 0;
 };
 

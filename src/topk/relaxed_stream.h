@@ -1,7 +1,10 @@
 #ifndef TRINIT_TOPK_RELAXED_STREAM_H_
 #define TRINIT_TOPK_RELAXED_STREAM_H_
 
+#include <cstdint>
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "relax/rewriter.h"
@@ -21,9 +24,17 @@ struct Alternative {
 /// expansion rule such as Figure 4 rule 3) and serves its solutions
 /// best-first. Fresh existential variables introduced by the rule are
 /// joined over internally and projected away; the emitted bindings cover
-/// only the original query's variables. Groups are the one deliberately
-/// eager spot in the pipeline: their internal join needs every member
-/// solution anyway, so the member streams are drained at construction.
+/// only the original query's variables.
+///
+/// Groups are the one deliberately eager spot in the pipeline: their
+/// internal join needs every member solution anyway. Construction
+/// drains each member `LeafStream` into compact rows (`DrainRows`), then
+/// joins the members smallest-first. Each later member is probed through
+/// a hash index on its values of the variables that earlier members
+/// already bind (a member sharing none is scanned in full: a cross
+/// product); bucket hits are re-checked on those values. Solutions are
+/// kept as a score plus one row index per member, stably sorted by
+/// score, and become Items only when emitted.
 class GroupStream : public BindingStream {
  public:
   GroupStream(const xkg::Xkg& xkg, const scoring::LmScorer& scorer,
@@ -35,12 +46,37 @@ class GroupStream : public BindingStream {
   double BestPossible() override;
   Stats DecodeStats() const override;
 
-  size_t size() const { return items_.size(); }
+  size_t size() const { return solutions_.size(); }
 
  private:
-  std::vector<Item> items_;
+  /// One member pattern, in join order.
+  struct Member {
+    std::unique_ptr<LeafStream> leaf;  // owns the rows' soft matches
+    std::vector<LeafStream::Row> rows;  // emission order
+    std::vector<query::VarId> vars;     // the pattern's distinct variables
+    std::vector<rdf::TermId> values;    // rows x vars, row-major
+  };
+  /// A join result: its score and where its row picks start in `picks_`
+  /// (one row index per member, in join order).
+  struct Solution {
+    double score = 0.0;
+    size_t first_pick = 0;
+  };
+
+  Item ItemFor(const Solution& solution) const;
+
+  std::vector<Member> members_;
+  std::vector<Solution> solutions_;  // stably sorted by descending score
+  std::vector<uint32_t> picks_;
   size_t next_ = 0;
+  std::optional<Item> current_;  // solutions_[next_], built on Peek
   Stats stats_;  // member streams' decode work, absorbed at construction
+
+  // Shared item metadata.
+  size_t num_global_vars_;
+  size_t pattern_index_;
+  std::string matched_form_;
+  std::vector<const relax::Rule*> rules_;
 };
 
 /// The incremental merge of an original pattern with its relaxed forms

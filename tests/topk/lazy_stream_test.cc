@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <set>
 #include <vector>
 
 #include "query/parser.h"
@@ -246,6 +247,110 @@ TEST(LazyLeafStreamTest, AblationConfigsStayDescendingWithZeroConfidence) {
         stream.Pop();
       }
       EXPECT_EQ(emitted, world->store().size());
+    }
+  }
+}
+
+TEST(LazyLeafStreamTest, RepeatedVariablesAgreeAcrossSlots) {
+  // Terms that appear as subject, predicate and object alike, so every
+  // pair of slots sometimes holds the same term.
+  Rng rng(606);
+  xkg::XkgBuilder b;
+  for (int i = 0; i < 300; ++i) {
+    b.AddKgFact("E" + std::to_string(rng.Uniform(4)),
+                "E" + std::to_string(rng.Uniform(4)),
+                "E" + std::to_string(rng.Uniform(4)));
+  }
+  auto world = b.Build();
+  ASSERT_TRUE(world.ok());
+  scoring::LmScorer scorer(*world);
+  for (const char* text :
+       {"?x ?x ?y", "?x ?y ?x", "?x ?y ?y", "?x ?x ?x", "?x ?x E1"}) {
+    auto q = query::Parser::Parse(text, &world->dict());
+    ASSERT_TRUE(q.ok()) << q.status();
+    query::VarTable vars(*q);
+    std::vector<RefItem> reference =
+        BruteForce(*world, scorer, vars, q->patterns()[0]);
+    EXPECT_FALSE(reference.empty()) << text;
+    LeafStream stream(*world, scorer, vars, q->patterns()[0], 0);
+    std::multiset<std::vector<rdf::TermId>> got, want;
+    while (const BindingStream::Item* item = stream.Peek()) {
+      std::vector<rdf::TermId> binding;
+      for (size_t v = 0; v < vars.size(); ++v) {
+        binding.push_back(item->binding.Get(static_cast<query::VarId>(v)));
+      }
+      got.insert(std::move(binding));
+      stream.Pop();
+    }
+    for (const RefItem& ref : reference) want.insert(ref.binding);
+    EXPECT_EQ(got, want) << text;
+    // Conflicting entries still count as decoded.
+    EXPECT_EQ(stream.DecodeStats().items_skipped, 0u) << text;
+  }
+}
+
+TEST(LazyLeafStreamTest, DrainRowsEqualsPeekPopSequence) {
+  // Many equal weights: few distinct facts inserted over and over (equal
+  // counts), extractions at a handful of confidences, and token phrases
+  // that soft-match several vocabulary entries (several cursors per
+  // pattern). The drain must reproduce the heap's tie order exactly.
+  Rng rng(505);
+  const float kConfidences[] = {0.5f, 0.8f, 1.0f};
+  for (int round = 0; round < 4; ++round) {
+    xkg::XkgBuilder b;
+    for (int i = 0; i < 200 + 100 * round; ++i) {
+      std::string s = "E" + std::to_string(rng.Uniform(6));
+      std::string o = "E" + std::to_string(rng.Uniform(6));
+      int p = static_cast<int>(rng.Uniform(6));
+      if (p % 3 == 2) {
+        b.AddExtraction(s, true, "verb phrase " + std::to_string(p), o, true,
+                        kConfidences[rng.Uniform(3)],
+                        {static_cast<uint32_t>(i), 0, s + " ... " + o, 0.8});
+      } else {
+        b.AddKgFact(s, "p" + std::to_string(p), o);
+      }
+    }
+    auto world = b.Build();
+    ASSERT_TRUE(world.ok());
+    scoring::LmScorer scorer(*world);
+    for (const char* text :
+         {"?s ?p ?o", "?x p0 ?y", "?x p1 E2", "?x ?p ?x",
+          "?x 'verb phrase 2' ?y", "E1 'verb phrase 5' ?y",
+          "?x 'verb phrase 2' ?x"}) {
+      auto q = query::Parser::Parse(text, &world->dict());
+      ASSERT_TRUE(q.ok()) << q.status();
+      query::VarTable vars(*q);
+      LeafStream popped(*world, scorer, vars, q->patterns()[0], 0);
+      LeafStream drained(*world, scorer, vars, q->patterns()[0], 0);
+      std::vector<LeafStream::Row> rows = drained.DrainRows();
+      size_t rank = 0, ties = 0;
+      while (const BindingStream::Item* item = popped.Peek()) {
+        ASSERT_LT(rank, rows.size()) << text;
+        const LeafStream::Row& row = rows[rank];
+        EXPECT_EQ(row.score, item->log_score) << text << " rank " << rank;
+        ASSERT_EQ(item->step.triples.size(), 1u);
+        EXPECT_EQ(row.triple, item->step.triples[0])
+            << text << " rank " << rank;
+        const std::vector<SoftMatch>& soft = drained.soft_matches(row);
+        ASSERT_EQ(soft.size(), item->step.soft_matches.size());
+        for (size_t i = 0; i < soft.size(); ++i) {
+          EXPECT_EQ(soft[i].matched_phrase,
+                    item->step.soft_matches[i].matched_phrase);
+        }
+        if (rank > 0 && rows[rank - 1].score == row.score) {
+          EXPECT_LT(rows[rank - 1].seq, row.seq);
+          ++ties;
+        }
+        popped.Pop();
+        ++rank;
+      }
+      EXPECT_EQ(rank, rows.size()) << text;
+      EXPECT_EQ(drained.Peek(), nullptr);
+      BindingStream::Stats a = popped.DecodeStats();
+      BindingStream::Stats b = drained.DecodeStats();
+      EXPECT_EQ(a.items_decoded, b.items_decoded) << text;
+      EXPECT_EQ(a.items_skipped, b.items_skipped) << text;
+      if (std::string(text) == "?s ?p ?o") EXPECT_GT(ties, 10u);
     }
   }
 }
