@@ -27,8 +27,9 @@
 //
 // PR 10 adds two observability exhibits: the hot-path cost of the
 // always-on metrics registry (the same mix on two plan-cache-only
-// engines, `obs.metrics` on vs off, min-of-reps; reported as
-// `metrics_overhead_pct` and gated < 3% by bench/check_regression.py)
+// engines, `obs.metrics` on vs off, median of interleaved paired
+// differences; reported as `metrics_overhead_pct` and gated < 3% by
+// bench/check_regression.py)
 // and the slow-query log's ring invariant (a tiny threshold makes
 // every request "slow"; after `requests > capacity` the ring must hold
 // exactly the newest `capacity` records in order — gated here).
@@ -42,7 +43,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -197,10 +197,13 @@ int main(int argc, char** argv) {
   // caching off — every request pays full planning + join work, the
   // worst case for per-request instrumentation — one with the registry
   // live, one with `obs.metrics = false` (every handle unbound, the
-  // compiled-out cost model at runtime). Reps interleave the engines
-  // and keep the per-engine minimum, which sheds scheduler noise much
-  // better than means on a shared box.
-  constexpr int kOverheadReps = 8;
+  // compiled-out cost model at runtime). Each pair runs both engines
+  // back to back, alternating which goes first so neither one
+  // systematically inherits the warmer cache or the quieter scheduler
+  // slot; the figure is the median of the per-pair relative
+  // differences, which a few disturbed pairs cannot move (a minimum
+  // per engine can: one lucky run on either side swings it).
+  constexpr int kOverheadPairs = 101;
   core::TrinitOptions obs_on_options;
   obs_on_options.serving.cache_answers = false;
   core::TrinitOptions obs_off_options;
@@ -226,18 +229,28 @@ int main(int argc, char** argv) {
   // outside the measurement.
   (void)run_mix_ms(*obs_on);
   (void)run_mix_ms(*obs_off);
-  double best_on_ms = std::numeric_limits<double>::infinity();
-  double best_off_ms = std::numeric_limits<double>::infinity();
-  for (int rep = 0; rep < kOverheadReps; ++rep) {
-    best_on_ms = std::min(best_on_ms, run_mix_ms(*obs_on));
-    best_off_ms = std::min(best_off_ms, run_mix_ms(*obs_off));
+  std::vector<double> paired_pct;
+  paired_pct.reserve(kOverheadPairs);
+  for (int pair = 0; pair < kOverheadPairs; ++pair) {
+    double on_ms = 0.0;
+    double off_ms = 0.0;
+    if (pair % 2 == 0) {
+      on_ms = run_mix_ms(*obs_on);
+      off_ms = run_mix_ms(*obs_off);
+    } else {
+      off_ms = run_mix_ms(*obs_off);
+      on_ms = run_mix_ms(*obs_on);
+    }
+    paired_pct.push_back(off_ms <= 0.0 ? 0.0
+                                       : 100.0 * (on_ms - off_ms) / off_ms);
   }
-  const double metrics_overhead_pct =
-      best_off_ms <= 0.0 ? 0.0
-                         : 100.0 * (best_on_ms - best_off_ms) / best_off_ms;
-  std::printf("metrics overhead: mix best-of-%d %.3f ms with registry vs "
-              "%.3f ms without (%+.2f%%)\n",
-              kOverheadReps, best_on_ms, best_off_ms, metrics_overhead_pct);
+  std::sort(paired_pct.begin(), paired_pct.end());
+  const double metrics_overhead_pct = paired_pct[kOverheadPairs / 2];
+  std::printf("metrics overhead: median of %d interleaved on/off pairs "
+              "%+.2f%% (quartiles %+.2f%% / %+.2f%%)\n",
+              kOverheadPairs, metrics_overhead_pct,
+              paired_pct[kOverheadPairs / 4],
+              paired_pct[3 * kOverheadPairs / 4]);
 
   // ------------------------------------------------------------------
   // Slow-query-log ring invariant (PR 10): a microsecond threshold

@@ -257,9 +257,9 @@ int main(int argc, char** argv) {
       matrix_match = false;
     }
     std::printf("%-18s open %6.2f ms, touched %zu/%zu bytes, "
-                "sections %zu mapped / %zu decoded%s\n",
+                "sections %zu viewed / %zu decoded%s\n",
                 combo.label, combo_ms, combo_report.bytes_touched,
-                combo_report.bytes, combo_report.sections_mapped,
+                combo_report.bytes, combo_report.sections_viewed,
                 combo_report.sections_decoded,
                 combo_report.provenance_deferred
                     ? ", provenance deferred"

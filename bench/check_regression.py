@@ -86,9 +86,10 @@ def check_invariants(fresh_path):
             print(f"[bench-gate] {name}: FAIL — {key} is false")
             ok = False
     # P3 observability (PR 10): the always-on metrics registry must
-    # cost the hot path less than 3% (min-of-reps, registry on vs
-    # `obs.metrics = false` — the docs/OBSERVABILITY.md contract), and
-    # the slow-query log must honor its bounded-ring capacity.
+    # cost the hot path less than 3% (median of interleaved on/off
+    # pairs, registry on vs `obs.metrics = false` — the
+    # docs/OBSERVABILITY.md contract), and the slow-query log must
+    # honor its bounded-ring capacity.
     overhead = totals.get("metrics_overhead_pct")
     if isinstance(overhead, (int, float)) and overhead >= 3.0:
         print(f"[bench-gate] {name}: FAIL — metrics registry costs the "

@@ -135,7 +135,7 @@ int main(int argc, char** argv) {
                   ".explain <rank> | .complete <prefix> | .k <n> | "
                   ".timeout <ms> | .stats | .cache | .metrics [prom|json] | "
                   ".slowlog | .save <path> | "
-                  ".load <path> [mmap|copy] [trusted] [prefetch] | .quit\n");
+                  ".load <path> [mmap|copy] [trusted] | .quit\n");
       continue;
     }
     if (input == ".stats") {
@@ -221,9 +221,8 @@ int main(int argc, char** argv) {
       continue;
     }
     if (input.rfind(".load ", 0) == 0) {
-      // `.load <path> [mmap|copy] [trusted] [prefetch]` — trailing
-      // keywords pick the snapshot load mode, verification level, and
-      // readahead hinting.
+      // `.load <path> [mmap|copy] [trusted]` — trailing keywords pick
+      // the snapshot load mode and verification level.
       std::string_view rest = trinit::Trim(input.substr(6));
       trinit::core::TrinitOptions options;
       std::string path;
@@ -244,11 +243,9 @@ int main(int argc, char** argv) {
           } else if (flag == "trusted") {
             options.snapshot_read.verify =
                 trinit::rdf::SnapshotValidation::kTrusted;
-          } else if (flag == "prefetch") {
-            options.snapshot_read.prefetch = true;
           } else {
             std::printf(
-                "  unknown .load flag '%s' (want mmap|copy|trusted|prefetch)\n",
+                "  unknown .load flag '%s' (want mmap|copy|trusted)\n",
                 std::string(flag).c_str());
             bad_flag = true;
             break;
@@ -269,20 +266,20 @@ int main(int argc, char** argv) {
                   "%zu score shapes pre-built, %zu index rebuilds\n",
                   report.terms, report.triples, report.rules,
                   report.score_shapes_restored, report.index_rebuilds);
-      std::printf("  load mode: %s%s, sections %zu mapped / %zu decoded, "
+      std::printf("  load mode: %s%s, sections %zu viewed / %zu decoded, "
                   "codecs %zu raw / %zu varint\n",
                   report.mapped ? "mmap" : "copy",
                   report.provenance_deferred ? " (provenance deferred)" : "",
-                  report.sections_mapped, report.sections_decoded,
+                  report.sections_viewed, report.sections_decoded,
                   report.sections_raw, report.sections_varint);
       std::printf("  bytes: %zu file, %zu touched at open (%.1f%%), "
-                  "~%zu resident, %zu prefetch-hinted\n",
+                  "~%zu resident\n",
                   report.bytes, report.bytes_touched,
                   report.bytes == 0
                       ? 0.0
                       : 100.0 * static_cast<double>(report.bytes_touched) /
                             static_cast<double>(report.bytes),
-                  report.resident_bytes, report.bytes_prefetched);
+                  report.resident_bytes);
       PrintStats(*engine);
       continue;
     }

@@ -99,8 +99,6 @@ void Trinit::RecordOpenMetrics(const storage::LoadReport& report,
   metrics_.open_ms.Observe(open_ms);
   metrics_.snapshot_bytes.Set(static_cast<int64_t>(report.bytes));
   metrics_.bytes_touched_open.Set(static_cast<int64_t>(report.bytes_touched));
-  metrics_.bytes_prefetched.Set(
-      static_cast<int64_t>(report.bytes_prefetched));
   metrics_.resident_bytes.Set(static_cast<int64_t>(report.resident_bytes));
   metrics_.mapped.Set(report.mapped ? 1 : 0);
 }

@@ -50,9 +50,10 @@ struct TrinitOptions {
   /// planning from scratch.
   serve::ServingCacheOptions serving;
 
-  /// How `Open(path)` loads a snapshot: copy-and-decode (default) or
-  /// mmap with zero-copy section views, and how hard to verify. See
-  /// `storage::SnapshotReader` for the mode/verification contract.
+  /// How `Open(path)` loads a snapshot: read into an owned buffer
+  /// (default) or mmap — raw sections are zero-copy views over either —
+  /// and how hard to verify. See `storage::SnapshotReader` for the
+  /// mode/verification contract.
   storage::ReadOptions snapshot_read;
   /// How `Save` encodes the snapshot: per-section codec. See
   /// `storage::SnapshotWriter`.

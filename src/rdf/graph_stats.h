@@ -31,9 +31,9 @@ class GraphStats {
   /// The store must outlive the stats object.
   static GraphStats Compute(const TripleStore& store);
 
-  /// The args array of one predicate, span-or-vector: the copying load
-  /// path decodes into owned vectors, the mmap path views the 8-byte
-  /// (s,o) pair records of the STATS section in place.
+  /// The args array of one predicate, span-or-vector: a varint STATS
+  /// section decodes into owned vectors, a raw one is viewed in place
+  /// as its 8-byte (s,o) pair records.
   using ArgPairs = util::OwnedSpan<std::pair<TermId, TermId>>;
 
   /// Reassembles stats persisted in a binary snapshot (the storage
@@ -66,7 +66,7 @@ class GraphStats {
   std::span<const std::pair<TermId, TermId>> Args(TermId p) const;
 
   /// Private (per-process) bytes held by the args arrays — 0 when they
-  /// all view a shared mapping.
+  /// all view snapshot file bytes.
   size_t resident_bytes() const;
 
   /// |args(p1) ∩ args(p2)| — same argument order.

@@ -19,8 +19,8 @@ namespace trinit::rdf {
 ///
 ///  * kFull     every invariant later code relies on for memory safety
 ///              or correctness is re-checked in O(n) — the default, and
-///              what the copying load path and the default mapped mode
-///              use. Corrupt input yields a typed error, never UB.
+///              what copy loads and the default mapped mode use.
+///              Corrupt input yields a typed error, never UB.
 ///  * kTrusted  only O(1) structural checks (sizes, counts) run; the
 ///              content is trusted to be exactly what the writer
 ///              produced. Reserved for the storage layer's explicit
@@ -73,8 +73,8 @@ class ScoreOrderIndex {
   /// (`storage::SnapshotWriter`): the shape's id order and prefix-mass
   /// sums exactly as the lazy build produced them, so a loaded index
   /// never re-sorts.
-  /// Arrays arrive as span-or-vector: the copying load path decodes
-  /// into owned vectors, the mmap path views the mapping in place.
+  /// Arrays arrive as span-or-vector: a varint section decodes into
+  /// owned vectors, a raw one is viewed in place over the file bytes.
   struct ShapeSnapshot {
     uint32_t shape = 0;  ///< Shape enum value, 0..kNumShapes-1
     util::OwnedSpan<TripleId> ids;
@@ -136,7 +136,7 @@ class ScoreOrderIndex {
                       SnapshotValidation validation = SnapshotValidation::kFull);
 
   /// Private (per-process) bytes held by materialized shapes — 0 when
-  /// every built shape views a shared mapping.
+  /// every built shape views snapshot file bytes.
   size_t resident_bytes() const;
 
   /// Observes each first-touch sort (its latency on `sort_ms`, a count

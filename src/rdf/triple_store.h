@@ -129,8 +129,8 @@ class TripleStore {
   /// five permutation arrays plus every persisted score-ordered shape.
   /// Together with the triples this is everything `FromSnapshot` needs
   /// to reassemble the store without a single sort.
-  /// Arrays arrive as span-or-vector: the copying load path decodes
-  /// into owned vectors, the mmap path views the mapping in place.
+  /// Arrays arrive as span-or-vector: a varint section decodes into
+  /// owned vectors, a raw one is viewed in place over the file bytes.
   struct IndexSnapshot {
     std::vector<util::OwnedSpan<TripleId>> perms;  ///< kNumIndexPermutations
     std::vector<ScoreOrderIndex::ShapeSnapshot> score_shapes;
@@ -154,8 +154,9 @@ class TripleStore {
 
   /// Private (per-process) bytes held by the store's arrays: owned
   /// triple/permutation/shape buffers plus the identity array. Views
-  /// over a shared mapping contribute 0 — the basis of the load
-  /// report's resident estimate.
+  /// over snapshot file bytes contribute 0 (the storage layer accounts
+  /// for those bytes itself) — the basis of the load report's resident
+  /// estimate.
   size_t resident_bytes() const;
 
  private:

@@ -16,19 +16,24 @@ namespace trinit::storage {
 /// one physical copy of its clean pages through the page cache.
 ///
 /// Platform story: POSIX `mmap` where available; `Map` returns
-/// Unimplemented elsewhere and callers fall back to the copying read
-/// path (`Supported()` lets them ask first). The mapping's base
-/// address is page-aligned, so the 8-aligned TRNTSNAP section offsets
-/// stay 8-aligned in memory.
+/// Unimplemented elsewhere (`Supported()` lets callers ask first).
+/// When mapping is unsupported or fails, `SnapshotReader` reads the
+/// file into an owned 8-byte-aligned buffer instead and serves the
+/// same views over it, so the fallback changes where the bytes live,
+/// not how the snapshot is loaded. The mapping's base address is
+/// page-aligned, so the 8-aligned TRNTSNAP section offsets stay
+/// 8-aligned in memory.
 ///
 /// Lifetime: spans returned by `bytes()` alias the mapping and die
 /// with it. The storage layer parks the MappedFile behind a
 /// `shared_ptr` inside the loaded `xkg::Xkg`, so index views cannot
-/// outlive their pages (see docs/CONCURRENCY.md, "Mapping lifetime").
+/// outlive their pages (see docs/CONCURRENCY.md, "Backing lifetime").
 /// Truncating the snapshot file on disk while it is mapped is outside
 /// the contract (SIGBUS on access, as with any mmap consumer);
 /// `SnapshotWriter`'s write-temp-then-rename discipline never
-/// truncates a live file in place.
+/// truncates a live file in place; deployments that overwrite snapshot
+/// files in place (`cp` does) load with `LoadMode::kCopy`, whose owned
+/// buffer is immune.
 class MappedFile {
  public:
   /// Maps `path` read-only. IoError when the file cannot be opened or
@@ -49,13 +54,6 @@ class MappedFile {
   /// The mapped bytes; valid until destruction.
   std::span<const char> bytes() const { return {data_, size_}; }
   size_t size() const { return size_; }
-
-  /// Hints the kernel (posix_madvise WILLNEED) to start readahead on
-  /// `[offset, offset + length)`, rounded out to page boundaries.
-  /// Purely advisory: returns true when the hint was issued, false on
-  /// platforms without madvise or when the kernel declined — callers
-  /// must not change behavior on the answer beyond reporting it.
-  bool AdviseWillNeed(size_t offset, size_t length) const;
 
  private:
   const char* data_ = nullptr;

@@ -40,16 +40,16 @@ constexpr uint32_t kNumSections = 8;
 
 // Written after the magic; a big-endian reader sees it byte-swapped and
 // rejects the file instead of mis-decoding every integer. It also
-// guards the mmap view path: raw section records are only aliased in
-// place on a machine whose byte order matches the writer's.
+// guards the raw-section views: records are only aliased in place on a
+// machine whose byte order matches the writer's.
 constexpr uint32_t kEndianTag = 0x01020304u;
 
 constexpr size_t kHeaderBytes = 8 + 4 + 4 + 8 + 4 + 4;  // 32
 constexpr size_t kTableEntryBytes = 4 + 4 + 8 + 8 + 8;  // 32
 
-// The raw TRIPLES section is viewed in place as `rdf::Triple` records
-// in mapped mode; these assert the in-memory layout matches the wire
-// layout (s, p, o, confidence-bits, count, source — 24 bytes).
+// The raw TRIPLES section is viewed in place as `rdf::Triple` records;
+// these assert the in-memory layout matches the wire layout (s, p, o,
+// confidence-bits, count, source — 24 bytes).
 static_assert(sizeof(rdf::Triple) == 24);
 static_assert(std::is_trivially_copyable_v<rdf::Triple>);
 static_assert(offsetof(rdf::Triple, s) == 0);
@@ -103,8 +103,9 @@ void PadTo8(std::string* out) {
   while (out->size() % 8 != 0) out->push_back('\0');
 }
 
-// Little-endian loads at absolute positions, for the mapped-view
-// walkers (the copying decoders go through Cursor). Callers bounds-check.
+// Little-endian loads at section positions, for the raw-section view
+// walkers (the decoded sections go through Cursor). Callers
+// bounds-check.
 uint32_t LoadU32(const char* p) {
   uint32_t v;
   std::memcpy(&v, p, 4);
@@ -181,20 +182,14 @@ struct SectionRef {
   SectionCodec codec = SectionCodec::kRaw;
 };
 
-std::span<const char> SectionSpan(std::span<const char> file,
-                                  const SectionRef& s) {
-  return file.subspan(static_cast<size_t>(s.offset),
-                      static_cast<size_t>(s.length));
-}
-
-/// Aliases `count` records of T starting at file offset `offset`.
+/// Aliases `count` records of T starting at `offset` within `section`.
 /// Bounds are the caller's job (walkers check before advancing); the
 /// runtime alignment check is the last line of defense for a hostile
 /// offset table — misalignment is corruption, never UB.
 template <typename T>
-bool MakeView(std::span<const char> file, uint64_t offset, uint64_t count,
+bool MakeView(std::span<const char> section, uint64_t offset, uint64_t count,
               std::span<const T>* out) {
-  const char* p = file.data() + offset;
+  const char* p = section.data() + offset;
   if (reinterpret_cast<uintptr_t>(p) % alignof(T) != 0) return false;
   *out = std::span<const T>(reinterpret_cast<const T*>(p),
                             static_cast<size_t>(count));
@@ -538,23 +533,6 @@ Status DecodeDictionary(Cursor* c, rdf::Dictionary* dict) {
   return Status::Ok();
 }
 
-Status DecodeTriples(Cursor* c, std::vector<rdf::Triple>* triples) {
-  uint64_t count;
-  if (!c->ReadU64(&count)) return Corrupt("triple count");
-  if (c->remaining() / 24 < count) return Corrupt("triple section short");
-  triples->resize(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    rdf::Triple& t = (*triples)[i];
-    if (!c->ReadU32(&t.s) || !c->ReadU32(&t.p) || !c->ReadU32(&t.o) ||
-        !c->ReadF32(&t.confidence) || !c->ReadU32(&t.count) ||
-        !c->ReadU32(&t.source)) {
-      return Corrupt("triple " + std::to_string(i));
-    }
-  }
-  if (!c->AtEnd()) return Corrupt("trailing bytes after triples");
-  return Status::Ok();
-}
-
 Status DecodeTriplesVarint(std::span<const char> d,
                            std::vector<rdf::Triple>* triples) {
   const char* data = d.data();
@@ -601,44 +579,31 @@ Status DecodeTriplesVarint(std::span<const char> d,
   return Status::Ok();
 }
 
-/// Raw TRIPLES: decode, or view the 24-byte records in place when
-/// `view`.
-Status LoadTriplesRaw(std::span<const char> file, const SectionRef& s,
-                      bool view, util::OwnedSpan<rdf::Triple>* out,
-                      size_t* framing) {
-  if (view) {
-    if (s.length < 8) return Corrupt("triple count");
-    const uint64_t count = LoadU64(file.data() + s.offset);
-    if ((s.length - 8) / 24 != count || (s.length - 8) % 24 != 0) {
-      return Corrupt("triple section size");
-    }
-    std::span<const rdf::Triple> t;
-    if (!MakeView(file, s.offset + 8, count, &t)) {
-      return Corrupt("misaligned triple records");
-    }
-    *out = util::OwnedSpan<rdf::Triple>::View(t);
-    if (framing != nullptr) *framing += 8;
-    return Status::Ok();
+/// Raw TRIPLES: the 24-byte records, viewed in place.
+Status LoadTriplesRaw(std::span<const char> d,
+                      util::OwnedSpan<rdf::Triple>* out, size_t* framing) {
+  if (d.size() < 8) return Corrupt("triple count");
+  const uint64_t count = LoadU64(d.data());
+  if ((d.size() - 8) / 24 != count || (d.size() - 8) % 24 != 0) {
+    return Corrupt("triple section size");
   }
-  Cursor c(file.data() + s.offset, static_cast<size_t>(s.length));
-  std::vector<rdf::Triple> triples;
-  TRINIT_RETURN_IF_ERROR(DecodeTriples(&c, &triples));
-  *out = std::move(triples);
+  std::span<const rdf::Triple> t;
+  if (!MakeView(d, 8, count, &t)) return Corrupt("misaligned triple records");
+  *out = util::OwnedSpan<rdf::Triple>::View(t);
+  *framing += 8;
   return Status::Ok();
 }
 
-/// Raw PERMS: walk the aligned layout, viewing each array in place
-/// (`view`) or copying it out.
-Status LoadPermutationsRaw(std::span<const char> file, const SectionRef& s,
-                           bool view, rdf::TripleStore::IndexSnapshot* indexes,
+/// Raw PERMS: walk the aligned layout, viewing each array in place.
+Status LoadPermutationsRaw(std::span<const char> d,
+                           rdf::TripleStore::IndexSnapshot* indexes,
                            size_t* framing) {
-  const char* base = file.data();
-  uint64_t pos = s.offset;
-  const uint64_t end = s.offset + s.length;
-  if (end - pos < 8) return Corrupt("permutation header");
-  const uint32_t num = LoadU32(base + pos);
-  const uint32_t reserved = LoadU32(base + pos + 4);
-  pos += 8;
+  const char* base = d.data();
+  const uint64_t end = d.size();
+  if (end < 8) return Corrupt("permutation header");
+  const uint32_t num = LoadU32(base);
+  const uint32_t reserved = LoadU32(base + 4);
+  uint64_t pos = 8;
   if (reserved != 0) return Corrupt("permutation reserved word");
   if ((end - pos) / 8 < num) return Corrupt("permutation section short");
   indexes->perms.clear();
@@ -648,24 +613,18 @@ Status LoadPermutationsRaw(std::span<const char> file, const SectionRef& s,
     const uint64_t n = LoadU64(base + pos);
     pos += 8;
     if ((end - pos) / 4 < n) return Corrupt("permutation " + std::to_string(p));
-    if (view) {
-      std::span<const rdf::TripleId> ids;
-      if (!MakeView(file, pos, n, &ids)) {
-        return Corrupt("misaligned permutation array");
-      }
-      indexes->perms.push_back(util::OwnedSpan<rdf::TripleId>::View(ids));
-    } else {
-      std::vector<rdf::TripleId> ids(n);
-      if (n > 0) std::memcpy(ids.data(), base + pos, n * 4);
-      indexes->perms.emplace_back(std::move(ids));
+    std::span<const rdf::TripleId> ids;
+    if (!MakeView(d, pos, n, &ids)) {
+      return Corrupt("misaligned permutation array");
     }
+    indexes->perms.push_back(util::OwnedSpan<rdf::TripleId>::View(ids));
     pos += n * 4;
-    const uint64_t pad = (8 - ((pos - s.offset) % 8)) % 8;
+    const uint64_t pad = (8 - pos % 8) % 8;
     if (end - pos < pad) return Corrupt("permutation padding");
     pos += pad;
   }
   if (pos != end) return Corrupt("trailing bytes after permutations");
-  if (view && framing != nullptr) *framing += 8 + 8 * size_t{num};
+  *framing += 8 + 8 * size_t{num};
   return Status::Ok();
 }
 
@@ -704,16 +663,15 @@ Status DecodePermutationsVarint(std::span<const char> d,
 
 /// Raw SCORE: the PERMS walk per shape, over its id array and its
 /// prefix masses.
-Status LoadScoreShapesRaw(std::span<const char> file, const SectionRef& s,
-                          bool view, rdf::TripleStore::IndexSnapshot* indexes,
+Status LoadScoreShapesRaw(std::span<const char> d,
+                          rdf::TripleStore::IndexSnapshot* indexes,
                           size_t* framing) {
-  const char* base = file.data();
-  uint64_t pos = s.offset;
-  const uint64_t end = s.offset + s.length;
-  if (end - pos < 8) return Corrupt("score shape header");
-  const uint32_t num = LoadU32(base + pos);
-  const uint32_t reserved = LoadU32(base + pos + 4);
-  pos += 8;
+  const char* base = d.data();
+  const uint64_t end = d.size();
+  if (end < 8) return Corrupt("score shape header");
+  const uint32_t num = LoadU32(base);
+  const uint32_t reserved = LoadU32(base + 4);
+  uint64_t pos = 8;
   if (reserved != 0) return Corrupt("score shape reserved word");
   // Each shape carries at least a 16-byte header plus the zeroth
   // prefix mass.
@@ -735,37 +693,25 @@ Status LoadScoreShapesRaw(std::span<const char> file, const SectionRef& s,
     }
     seen_shapes |= 1u << shape.shape;
     if ((end - pos) / 4 < n) return Corrupt("score shape ids");
-    if (view) {
-      std::span<const rdf::TripleId> ids;
-      if (!MakeView(file, pos, n, &ids)) {
-        return Corrupt("misaligned score shape ids");
-      }
-      shape.ids = util::OwnedSpan<rdf::TripleId>::View(ids);
-    } else {
-      std::vector<rdf::TripleId> ids(n);
-      if (n > 0) std::memcpy(ids.data(), base + pos, n * 4);
-      shape.ids = std::move(ids);
+    std::span<const rdf::TripleId> ids;
+    if (!MakeView(d, pos, n, &ids)) {
+      return Corrupt("misaligned score shape ids");
     }
+    shape.ids = util::OwnedSpan<rdf::TripleId>::View(ids);
     pos += n * 4;
-    const uint64_t pad = (8 - ((pos - s.offset) % 8)) % 8;
+    const uint64_t pad = (8 - pos % 8) % 8;
     if (end - pos < pad) return Corrupt("score shape padding");
     pos += pad;
     if ((end - pos) / 8 < n + 1) return Corrupt("score shape mass");
-    if (view) {
-      std::span<const uint64_t> mass;
-      if (!MakeView(file, pos, n + 1, &mass)) {
-        return Corrupt("misaligned score shape mass");
-      }
-      shape.prefix_mass = util::OwnedSpan<uint64_t>::View(mass);
-    } else {
-      std::vector<uint64_t> mass(n + 1);
-      std::memcpy(mass.data(), base + pos, (n + 1) * 8);
-      shape.prefix_mass = std::move(mass);
+    std::span<const uint64_t> mass;
+    if (!MakeView(d, pos, n + 1, &mass)) {
+      return Corrupt("misaligned score shape mass");
     }
+    shape.prefix_mass = util::OwnedSpan<uint64_t>::View(mass);
     pos += (n + 1) * 8;
   }
   if (pos != end) return Corrupt("trailing bytes after score shapes");
-  if (view && framing != nullptr) *framing += 8 + 16 * size_t{num};
+  *framing += 8 + 16 * size_t{num};
   return Status::Ok();
 }
 
@@ -827,53 +773,17 @@ Status DecodeScoreShapesVarint(std::span<const char> d,
   return Status::Ok();
 }
 
-Status DecodeGraphStatsRaw(Cursor* c, Result<rdf::GraphStats>* out) {
-  uint64_t count;
-  if (!c->ReadU64(&count)) return Corrupt("graph-stats count");
-  std::vector<rdf::TermId> predicates;
-  std::unordered_map<rdf::TermId, rdf::GraphStats::PredicateStats> stats;
-  std::unordered_map<rdf::TermId, rdf::GraphStats::ArgPairs> args;
-  if (c->remaining() / 32 < count) return Corrupt("graph-stats short");
-  predicates.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    rdf::TermId p;
-    rdf::GraphStats::PredicateStats ps;
-    uint64_t argn;
-    if (!c->ReadU32(&p) || !c->ReadU32(&ps.triple_count) ||
-        !c->ReadU64(&ps.evidence_count) ||
-        !c->ReadU32(&ps.distinct_subjects) ||
-        !c->ReadU32(&ps.distinct_objects) || !c->ReadU64(&argn)) {
-      return Corrupt("graph-stats predicate " + std::to_string(i));
-    }
-    if (c->remaining() / 8 < argn) return Corrupt("graph-stats args short");
-    std::vector<std::pair<rdf::TermId, rdf::TermId>> pairs(argn);
-    for (uint64_t j = 0; j < argn; ++j) {
-      if (!c->ReadU32(&pairs[j].first) || !c->ReadU32(&pairs[j].second)) {
-        return Corrupt("graph-stats arg pair");
-      }
-    }
-    predicates.push_back(p);
-    stats.emplace(p, ps);
-    args.emplace(p, std::move(pairs));
-  }
-  if (!c->AtEnd()) return Corrupt("trailing bytes after graph stats");
-  *out = rdf::GraphStats::FromSnapshot(std::move(predicates),
-                                       std::move(stats), std::move(args));
-  return out->ok() ? Status::Ok() : out->status();
-}
-
-/// Raw STATS served from the mapping: only the 32-byte per-predicate
-/// headers are walked (counted as framing); each predicate's (s,o) pair
-/// array is viewed in place.
-Status LoadGraphStatsRawView(std::span<const char> file, const SectionRef& s,
-                             rdf::SnapshotValidation validation,
-                             Result<rdf::GraphStats>* out, size_t* framing) {
-  const char* base = file.data();
-  uint64_t pos = s.offset;
-  const uint64_t end = s.offset + s.length;
-  if (end - pos < 8) return Corrupt("graph-stats count");
-  const uint64_t count = LoadU64(base + pos);
-  pos += 8;
+/// Raw STATS: only the 32-byte per-predicate headers are walked
+/// (counted as framing); each predicate's (s,o) pair array is viewed in
+/// place.
+Status LoadGraphStatsRaw(std::span<const char> d,
+                         rdf::SnapshotValidation validation,
+                         Result<rdf::GraphStats>* out, size_t* framing) {
+  const char* base = d.data();
+  const uint64_t end = d.size();
+  if (end < 8) return Corrupt("graph-stats count");
+  const uint64_t count = LoadU64(base);
+  uint64_t pos = 8;
   if ((end - pos) / 32 < count) return Corrupt("graph-stats short");
   std::vector<rdf::TermId> predicates;
   predicates.reserve(count);
@@ -891,7 +801,7 @@ Status LoadGraphStatsRawView(std::span<const char> file, const SectionRef& s,
     pos += 32;
     if ((end - pos) / 8 < argn) return Corrupt("graph-stats args short");
     std::span<const ArgPair> viewed;
-    if (!MakeView(file, pos, argn, &viewed)) {
+    if (!MakeView(d, pos, argn, &viewed)) {
       return Corrupt("misaligned graph-stats args");
     }
     pos += argn * 8;
@@ -1251,19 +1161,21 @@ Status SnapshotWriter::Write(const xkg::Xkg& xkg, const relax::RuleSet& rules,
 
 Result<LoadedSnapshot> SnapshotReader::Read(const std::string& path,
                                             const ReadOptions& options) {
-  // Acquire the bytes: mmap when asked for and available, else one
-  // copying read. A failed Map falls through to the copying open so
-  // the caller sees the same typed error (or a successful copy load)
-  // it would on a platform without mmap at all.
-  std::shared_ptr<MappedFile> mapping;
-  std::string owned;
+  // Acquire the bytes — the only thing the load mode decides. kMapped
+  // maps the file where mmap works; kCopy, and a failed Map (which must
+  // behave as on a platform without mmap), reads it once into an owned
+  // u64 buffer, 8-aligned by its type so the 8-aligned section offsets
+  // stay aligned in memory. Either way `backing` keeps the bytes alive
+  // for every view taken over `file` below.
+  std::shared_ptr<const void> backing;
   std::span<const char> file;
   bool mapped = false;
   if (options.mode == LoadMode::kMapped && MappedFile::Supported()) {
     auto m = MappedFile::Map(path);
     if (m.ok()) {
-      mapping = std::make_shared<MappedFile>(std::move(m).value());
+      auto mapping = std::make_shared<MappedFile>(std::move(m).value());
       file = mapping->bytes();
+      backing = std::move(mapping);
       mapped = true;
     }
   }
@@ -1271,12 +1183,16 @@ Result<LoadedSnapshot> SnapshotReader::Read(const std::string& path,
     std::ifstream in(path, std::ios::binary | std::ios::ate);
     if (!in) return Status::IoError("cannot open: " + path);
     const std::streamsize size = in.tellg();
+    if (size < 0) return Status::IoError("cannot size: " + path);
     in.seekg(0);
-    owned.assign(static_cast<size_t>(size), '\0');
-    if (!in.read(owned.data(), size)) {
+    auto words = std::make_shared<std::vector<uint64_t>>(
+        (static_cast<size_t>(size) + 7) / 8);
+    if (!in.read(reinterpret_cast<char*>(words->data()), size)) {
       return Status::IoError("read failed: " + path);
     }
-    file = std::span<const char>(owned.data(), owned.size());
+    file = {reinterpret_cast<const char*>(words->data()),
+            static_cast<size_t>(size)};
+    backing = std::move(words);
   }
 
   // Header. Foreign files fail on the magic (InvalidArgument), any other
@@ -1357,17 +1273,18 @@ Result<LoadedSnapshot> SnapshotReader::Read(const std::string& path,
       return Corrupt("missing section " + std::to_string(id));
     }
   }
-  auto cursor_for = [&](uint32_t id) {
-    const SectionRef& s = table.at(id);
-    return Cursor(file.data() + s.offset, static_cast<size_t>(s.length));
-  };
   auto span_for = [&](uint32_t id) {
-    return SectionSpan(file, table.at(id));
+    const SectionRef& s = table.at(id);
+    return file.subspan(static_cast<size_t>(s.offset),
+                        static_cast<size_t>(s.length));
+  };
+  auto cursor_for = [&](uint32_t id) {
+    std::span<const char> d = span_for(id);
+    return Cursor(d.data(), d.size());
   };
 
-  // Mode resolution. Trusted verification is only meaningful on the
-  // mapped view path — the copying path keeps the full-verification
-  // guarantees.
+  // Trusted verification applies to mapped loads only: a copy load
+  // always fully verifies.
   const bool trusted =
       mapped && options.verify == rdf::SnapshotValidation::kTrusted;
   const rdf::SnapshotValidation validation =
@@ -1378,21 +1295,6 @@ Result<LoadedSnapshot> SnapshotReader::Read(const std::string& path,
   report.bytes = file.size();
   report.mapped = mapped;
   size_t touched = kHeaderBytes + kNumSections * kTableEntryBytes;
-
-  // Readahead hints (ReadOptions::prefetch): start paging in the
-  // sections this load will serve as views, overlapping disk I/O with
-  // the decode work below. Purely advisory — verification and the
-  // bytes_touched accounting are identical either way.
-  if (mapped && options.prefetch) {
-    for (uint32_t id : {kTriples, kPermutations, kScoreShapes, kGraphStats}) {
-      const SectionRef& s = table.at(id);
-      if (s.codec == SectionCodec::kRaw &&
-          mapping->AdviseWillNeed(static_cast<size_t>(s.offset),
-                                  static_cast<size_t>(s.length))) {
-        report.bytes_prefetched += static_cast<size_t>(s.length);
-      }
-    }
-  }
 
   // Checksum pass. Full verification checksums everything (mapped or
   // not — identical guarantees). Trusted checksums only what it will
@@ -1440,88 +1342,53 @@ Result<LoadedSnapshot> SnapshotReader::Read(const std::string& path,
   report.terms = dict->size();
   ++report.sections_decoded;  // DICT (hash index rebuilt by Intern)
 
+  // The four index sections: raw ones are views over `file`, varint
+  // ones decode into owned memory.
+  auto raw = [&](uint32_t id) {
+    return table.at(id).codec == SectionCodec::kRaw;
+  };
+  for (uint32_t id : {kTriples, kPermutations, kScoreShapes, kGraphStats}) {
+    ++(raw(id) ? report.sections_viewed : report.sections_decoded);
+  }
+
   util::OwnedSpan<rdf::Triple> triples;
-  {
-    const SectionRef& s = table.at(kTriples);
-    if (s.codec == SectionCodec::kVarintDelta) {
-      std::vector<rdf::Triple> decoded;
-      TRINIT_RETURN_IF_ERROR(DecodeTriplesVarint(span_for(kTriples),
-                                                 &decoded));
-      triples = std::move(decoded);
-      ++report.sections_decoded;
-    } else {
-      TRINIT_RETURN_IF_ERROR(
-          LoadTriplesRaw(file, s, mapped, &triples, &touched));
-      if (mapped) {
-        ++report.sections_mapped;
-      } else {
-        ++report.sections_decoded;
-      }
-    }
+  if (raw(kTriples)) {
+    TRINIT_RETURN_IF_ERROR(
+        LoadTriplesRaw(span_for(kTriples), &triples, &touched));
+  } else {
+    std::vector<rdf::Triple> decoded;
+    TRINIT_RETURN_IF_ERROR(DecodeTriplesVarint(span_for(kTriples), &decoded));
+    triples = std::move(decoded);
   }
   if (triples.size() != triple_count) return Corrupt("triple count vs meta");
   report.triples = triples.size();
 
   rdf::TripleStore::IndexSnapshot indexes;
-  {
-    const SectionRef& s = table.at(kPermutations);
-    if (s.codec == SectionCodec::kVarintDelta) {
-      TRINIT_RETURN_IF_ERROR(
-          DecodePermutationsVarint(span_for(kPermutations), &indexes));
-      ++report.sections_decoded;
-    } else {
-      TRINIT_RETURN_IF_ERROR(
-          LoadPermutationsRaw(file, s, mapped, &indexes, &touched));
-      if (mapped) {
-        ++report.sections_mapped;
-      } else {
-        ++report.sections_decoded;
-      }
-    }
-  }
-  {
-    const SectionRef& s = table.at(kScoreShapes);
-    if (s.codec == SectionCodec::kVarintDelta) {
-      TRINIT_RETURN_IF_ERROR(
-          DecodeScoreShapesVarint(span_for(kScoreShapes), &indexes));
-      ++report.sections_decoded;
-    } else {
-      TRINIT_RETURN_IF_ERROR(
-          LoadScoreShapesRaw(file, s, mapped, &indexes, &touched));
-      if (mapped) {
-        ++report.sections_mapped;
-      } else {
-        ++report.sections_decoded;
-      }
-    }
-  }
+  TRINIT_RETURN_IF_ERROR(
+      raw(kPermutations)
+          ? LoadPermutationsRaw(span_for(kPermutations), &indexes, &touched)
+          : DecodePermutationsVarint(span_for(kPermutations), &indexes));
+  TRINIT_RETURN_IF_ERROR(
+      raw(kScoreShapes)
+          ? LoadScoreShapesRaw(span_for(kScoreShapes), &indexes, &touched)
+          : DecodeScoreShapesVarint(span_for(kScoreShapes), &indexes));
   report.permutations_restored = indexes.perms.size();
   report.score_shapes_restored = indexes.score_shapes.size();
 
   Result<rdf::GraphStats> stats = Status::Internal("unset");
-  {
-    const SectionRef& s = table.at(kGraphStats);
-    if (s.codec == SectionCodec::kVarintDelta) {
-      TRINIT_RETURN_IF_ERROR(DecodeGraphStatsVarint(span_for(kGraphStats),
-                                                    validation, &stats));
-      ++report.sections_decoded;
-    } else if (mapped) {
-      TRINIT_RETURN_IF_ERROR(
-          LoadGraphStatsRawView(file, s, validation, &stats, &touched));
-      ++report.sections_mapped;
-    } else {
-      Cursor c = cursor_for(kGraphStats);
-      TRINIT_RETURN_IF_ERROR(DecodeGraphStatsRaw(&c, &stats));
-      ++report.sections_decoded;
-    }
-  }
+  TRINIT_RETURN_IF_ERROR(
+      raw(kGraphStats)
+          ? LoadGraphStatsRaw(span_for(kGraphStats), validation, &stats,
+                              &touched)
+          : DecodeGraphStatsVarint(span_for(kGraphStats), validation,
+                                   &stats));
 
   xkg::Xkg::ProvenanceMap provenance;
   const bool defer_provenance = trusted;
   if (defer_provenance) {
     report.provenance_records = prov_records_meta;
     report.provenance_deferred = true;
-    ++report.sections_mapped;
+    ++report.sections_viewed;
   } else {
     TRINIT_RETURN_IF_ERROR(DecodeProvenanceAny(
         span_for(kProvenance), table.at(kProvenance).codec, &provenance,
@@ -1539,8 +1406,10 @@ Result<LoadedSnapshot> SnapshotReader::Read(const std::string& path,
 
   // Resident estimate: owned index bytes plus the decoded side
   // structures (section lengths stand in for the dictionary and rules;
-  // provenance is measured from the decoded map). Mapped views
-  // contribute nothing — their pages are shared and evictable.
+  // provenance is measured from the decoded map), plus the owned file
+  // buffer of a copy load that views it. Mapped views contribute
+  // nothing — their pages are shared and evictable.
+  const bool keep_backing = report.sections_viewed > 0;
   size_t prov_resident = 0;
   for (const auto& [id, records] : provenance) {
     prov_resident += sizeof(id) + records.size() * sizeof(xkg::Provenance);
@@ -1549,18 +1418,17 @@ Result<LoadedSnapshot> SnapshotReader::Read(const std::string& path,
   report.resident_bytes =
       store.resident_bytes() + stats.value().resident_bytes() +
       static_cast<size_t>(table.at(kDictionary).length) + prov_resident +
-      static_cast<size_t>(table.at(kRules).length);
+      static_cast<size_t>(table.at(kRules).length) +
+      (keep_backing && !mapped ? file.size() : 0);
 
   Result<xkg::Xkg> loaded = Status::Internal("unset");
   if (defer_provenance) {
     const SectionRef prov_ref = table.at(kProvenance);
-    std::shared_ptr<MappedFile> keepalive = mapping;
     loaded = xkg::Xkg::FromPartsLazyProvenance(
         std::move(dict), std::move(store), std::move(stats).value(),
         static_cast<size_t>(kg_triples),
-        [keepalive, prov_ref]() -> Result<xkg::Xkg::ProvenanceMap> {
-          std::span<const char> data =
-              SectionSpan(keepalive->bytes(), prov_ref);
+        [backing, data = span_for(kProvenance),
+         prov_ref]() -> Result<xkg::Xkg::ProvenanceMap> {
           // The open skipped this section entirely; give the deferred
           // decode the same checksum guarantee the eager path had.
           if (Fnv1a64({data.data(), data.size()}) != prov_ref.checksum) {
@@ -1580,12 +1448,12 @@ Result<LoadedSnapshot> SnapshotReader::Read(const std::string& path,
   }
   if (!loaded.ok()) return loaded.status();
   xkg::Xkg xkg = std::move(loaded).value();
-  if (mapped) {
-    // Index views (and the deferred PROV decode) alias the mapping; it
-    // must live exactly as long as this XKG. ExtendKg rebuilds into
-    // owned vectors and drops the old XKG — copy-on-write for free.
-    xkg.AttachBacking(std::shared_ptr<const void>(mapping));
-  }
+  // Index views (and the deferred PROV decode) alias the file bytes;
+  // they must live exactly as long as this XKG. ExtendKg rebuilds into
+  // owned vectors and drops the old XKG — copy-on-write for free. A
+  // load that decoded every section views nothing, so its bytes are
+  // released when the open returns.
+  if (keep_backing) xkg.AttachBacking(backing);
 
   relax::RuleSet rules;
   Cursor rule_cursor = cursor_for(kRules);

@@ -27,22 +27,26 @@ namespace trinit::storage {
 ///   sections  8-byte-aligned little-endian payloads:
 ///             META, DICT, TRIPLES, PERMS, SCORE, STATS, PROV, RULES
 ///
-/// Two orthogonal axes extend the plain "write raw, read a copy" story:
+/// Two orthogonal axes extend the plain "write raw, read back" story:
 ///
-/// *Load mode* (`ReadOptions::mode`). `LoadMode::kCopy` reads the file
-/// into memory and decodes every section into owning structures.
-/// `LoadMode::kMapped` mmaps the file read-only and serves the
-/// fixed-width sections — TRIPLES records, the five PERMS arrays,
-/// SCORE ids/prefix-mass arrays, STATS (s,o) pair arrays — as zero-copy
-/// span views over the mapping (the page cache shares the physical
-/// bytes across replicas); only the structures that need hashing or
-/// pointers (DICT, STATS headers, RULES, META) are materialized. The
-/// mapping is parked behind a shared_ptr inside the loaded `xkg::Xkg`,
-/// so views cannot outlive their pages, and the first `ExtendKg`
-/// rebuild copies into owned vectors (copy-on-write; see
-/// docs/CONCURRENCY.md, "Mapping lifetime"). Mapped mode falls back to
-/// the copying path when mmap is unavailable, and to decoding when a
-/// section is codec-compressed.
+/// *Load mode* (`ReadOptions::mode`) decides only where the file bytes
+/// live. `LoadMode::kMapped` mmaps the file read-only (the page cache
+/// shares the physical bytes across replicas); `LoadMode::kCopy` — and
+/// the mapped mode's fallback when mmap is unavailable or fails — reads
+/// it once into an owned, 8-byte-aligned buffer. Both then take the
+/// same path: the fixed-width raw sections — TRIPLES records, the five
+/// PERMS arrays, SCORE ids/prefix-mass arrays, STATS (s,o) pair arrays
+/// — are served as zero-copy span views over those bytes; only the
+/// structures that need hashing or pointers (DICT, STATS headers,
+/// RULES, META, PROV) and codec-compressed sections are decoded into
+/// owned memory. The buffer or mapping is parked behind a shared_ptr
+/// inside the loaded `xkg::Xkg`, so views cannot outlive their bytes,
+/// and the first `ExtendKg` rebuild copies into owned vectors
+/// (copy-on-write; see docs/CONCURRENCY.md, "Backing lifetime"). The
+/// modes differ in what the file may do afterwards: a copy-loaded
+/// engine owns its bytes and survives the file being rewritten in
+/// place, while a mapped one must not see the file truncated under it
+/// (SIGBUS, see mapped_file.h).
 ///
 /// *Section codec* (`WriteOptions::codec`, recorded per section in the
 /// table's flag byte). `SectionCodec::kRaw` stores fixed-width
@@ -51,17 +55,18 @@ namespace trinit::storage {
 /// the sorted arrays, zigzag for signed residuals, and a front-coded
 /// sorted sentence table for provenance text — to the five bulk
 /// sections (TRIPLES, PERMS, SCORE, STATS, PROV). Encoded sections are
-/// always decoded into owned memory on load (codec-on trades mapped
-/// zero-copy for a >=2x smaller file; pick per deployment).
+/// always decoded into owned memory on load (codec-on trades zero-copy
+/// views for a >=2x smaller file; pick per deployment).
 ///
 /// Verification (`ReadOptions::verify`). `kFull` (default) checksums
 /// every section and re-validates every decoded invariant in O(n) —
-/// identical guarantees in both load modes. `kTrusted` is the
-/// explicit opt-in for mapped serving of files this process (or a
-/// trusted pipeline) wrote: only O(1) structural checks run on the
-/// viewed sections, provenance decode is deferred until the first
-/// `Explain`, and a cold open touches a small fraction of the file's
-/// bytes (`LoadReport::bytes_touched`). Trusted mode still never
+/// identical guarantees, and identical typed errors for the same bytes,
+/// in both load modes. `kTrusted` is the explicit opt-in for mapped
+/// serving of files this process (or a trusted pipeline) wrote: only
+/// O(1) structural checks run on the viewed sections, provenance
+/// decode is deferred until the first `Explain`, and a cold open
+/// touches a small fraction of the file's bytes
+/// (`LoadReport::bytes_touched`). Trusted mode still never
 /// exhibits UB on a malformed *frame* (every offset/length/count is
 /// bounds-checked before use), but corrupt array *contents* inside an
 /// intact frame are served as-is — that is the contract.
@@ -110,24 +115,18 @@ struct WriteOptions {
   SectionCodec codec = SectionCodec::kRaw;
 };
 
+/// Where a load keeps the file bytes; every other step of the load is
+/// the same in both modes.
 enum class LoadMode : uint8_t {
-  kCopy = 0,    ///< read + decode everything into owned memory
-  kMapped = 1,  ///< mmap; view fixed-width sections zero-copy
+  kCopy = 0,    ///< read the file into an owned buffer
+  kMapped = 1,  ///< mmap the file (falls back to kCopy where it cannot)
 };
 
 struct ReadOptions {
   LoadMode mode = LoadMode::kCopy;
-  /// kTrusted only changes behavior in mapped mode; the copying path
+  /// kTrusted only changes behavior on a mapped load; a copy load
   /// always fully verifies.
   rdf::SnapshotValidation verify = rdf::SnapshotValidation::kFull;
-  /// Mapped mode only: hint the kernel (posix_madvise WILLNEED) to
-  /// start readahead on the viewed bulk sections, so first-query page
-  /// faults overlap with the open instead of serializing behind it.
-  /// Purely advisory — answers, verification, and `bytes_touched`
-  /// accounting are identical either way; `bytes_prefetched` reports
-  /// how much was hinted. No effect on the copying path (which reads
-  /// everything anyway).
-  bool prefetch = false;
 };
 
 class SnapshotWriter {
@@ -170,16 +169,17 @@ struct LoadReport {
   /// a small fraction of it on the trusted mapped path.
   size_t bytes_touched = 0;
   /// Estimate of private (per-process) bytes held by the loaded state:
-  /// owned index arrays + decoded dictionary/provenance/rules. Mapped
-  /// views contribute 0 — their pages are shared and evictable.
+  /// owned index arrays + decoded dictionary/provenance/rules, plus the
+  /// owned file buffer of a copy load that views raw sections (a load
+  /// that decodes everything releases it). Mapped views contribute 0 —
+  /// their pages are shared and evictable.
   size_t resident_bytes = 0;
-  size_t sections_mapped = 0;   ///< sections served as views (+ deferred)
+  /// Sections served as views over the file bytes, mapped or copied
+  /// (+ a deferred PROV).
+  size_t sections_viewed = 0;
   size_t sections_decoded = 0;  ///< sections materialized into memory
   size_t sections_raw = 0;      ///< table codec bytes: SectionCodec::kRaw
   size_t sections_varint = 0;   ///< table codec bytes: kVarintDelta
-  /// Bytes covered by madvise(WILLNEED) readahead hints
-  /// (`ReadOptions::prefetch` on a mapped load); 0 otherwise.
-  size_t bytes_prefetched = 0;
 };
 
 /// A successfully loaded snapshot: the serving state plus the XKG

@@ -9,18 +9,18 @@
 namespace trinit::util {
 
 /// A read-only array that either owns its elements (vector-backed, the
-/// build-from-TSV and decode paths) or views memory owned elsewhere (a
-/// span over an mmap'd snapshot section). Index structures
-/// (`rdf::TripleStore`, `rdf::ScoreOrderIndex`, `rdf::GraphStats`)
-/// store their arrays through this type so the built and mapped
-/// engines share one code path — every consumer just sees
-/// `std::span<const T>`.
+/// build-from-TSV and varint-decode paths) or views memory owned
+/// elsewhere (a span over a raw snapshot section, mapped or read into
+/// a buffer). Index structures (`rdf::TripleStore`,
+/// `rdf::ScoreOrderIndex`, `rdf::GraphStats`) store their arrays
+/// through this type so built and snapshot-loaded engines share one
+/// code path — every consumer just sees `std::span<const T>`.
 ///
 /// A viewing OwnedSpan does not manage the lifetime of the viewed
-/// memory; whoever creates the view must keep the backing mapping
-/// alive for as long as the structure is reachable (the storage layer
-/// parks a `shared_ptr` to the mapping inside the loaded `xkg::Xkg` —
-/// see docs/CONCURRENCY.md, "Mapping lifetime").
+/// memory; whoever creates the view must keep the backing bytes alive
+/// for as long as the structure is reachable (the storage layer parks
+/// a `shared_ptr` to the file buffer or mapping inside the loaded
+/// `xkg::Xkg` — see docs/CONCURRENCY.md, "Backing lifetime").
 template <typename T>
 class OwnedSpan {
  public:
@@ -65,12 +65,12 @@ class OwnedSpan {
   auto end() const { return view_.end(); }
 
   /// True when the elements live in the owned vector (false for views
-  /// over a mapping — the basis of the load report's resident-bytes
-  /// estimate).
+  /// over snapshot bytes — the basis of the load report's
+  /// resident-bytes estimate).
   bool owns() const { return !owned_.empty(); }
 
   /// Bytes of private (per-process) memory held by this array: the
-  /// owned buffer, or 0 for a view over shared mapped pages.
+  /// owned buffer, or 0 for a view.
   size_t owned_bytes() const { return owned_.capacity() * sizeof(T); }
 
  private:

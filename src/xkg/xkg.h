@@ -66,10 +66,10 @@ class Xkg {
       std::function<Result<ProvenanceMap>()> loader);
 
   /// Parks an opaque keepalive that must outlive this XKG's index
-  /// views — the storage layer hands over the snapshot file mapping
-  /// when index arrays alias it (see docs/CONCURRENCY.md, "Mapping
-  /// lifetime"). `ExtendKg` rebuilds into owned vectors and drops the
-  /// old XKG, releasing the mapping with it (copy-on-write).
+  /// views — the storage layer hands over the snapshot's file buffer
+  /// or mapping when index arrays alias it (see docs/CONCURRENCY.md,
+  /// "Backing lifetime"). `ExtendKg` rebuilds into owned vectors and
+  /// drops the old XKG, releasing the bytes with it (copy-on-write).
   void AttachBacking(std::shared_ptr<const void> backing) {
     backing_ = std::move(backing);
   }
@@ -139,8 +139,8 @@ class Xkg {
   std::unique_ptr<LazyProvenance> lazy_provenance_;  // null = eager
   std::vector<Provenance> empty_provenance_;
   // Keepalive for memory the index structures may view (the snapshot
-  // mapping); destroyed last-ish by member order, after no views
-  // remain reachable. Never dereferenced.
+  // file buffer or mapping); destroyed last-ish by member order, after
+  // no views remain reachable. Never dereferenced.
   std::shared_ptr<const void> backing_;
   size_t kg_triple_count_ = 0;
 };

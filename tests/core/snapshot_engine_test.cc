@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -250,31 +251,49 @@ TEST(SnapshotEngineTest, MutationsKeepWorkingAfterLoad) {
   EXPECT_GT(after->answers.size(), before->answers.size());
 }
 
-TEST(SnapshotEngineTest, PrefetchHintsReportMappedBytes) {
+TEST(SnapshotEngineTest, CopyLoadSurvivesInPlaceRewriteOfTheFile) {
+  // A copy load owns its file bytes, so overwriting the snapshot in
+  // place — truncate, then write, as `cp` does — cannot disturb an
+  // engine already serving from it. (A mapped engine would fault here
+  // by contract; see storage/mapped_file.h.)
   auto source = Trinit::Open(testing::BuildPaperXkg());
   ASSERT_TRUE(source.ok());
   ASSERT_TRUE(source->AddManualRules(testing::kPaperRulesText).ok());
-  for (const std::string& q :
-       {"?x bornIn Germany", "AlbertEinstein hasAdvisor ?x"}) {
-    (void)RunOnce(*source, q);
-  }
-  const std::string path = TempPath("engine_prefetch.trinit");
+  const std::string path = TempPath("engine_rewritten.trinit");
   ASSERT_TRUE(source->Save(path).ok());
 
   TrinitOptions options;
-  options.snapshot_read.mode = storage::LoadMode::kMapped;
-  options.snapshot_read.prefetch = true;
-  storage::LoadReport report;
-  auto mapped = Trinit::Open(path, options, &report);
-  ASSERT_TRUE(mapped.ok()) << mapped.status();
-  EXPECT_GT(report.bytes_prefetched, 0u);
-
-  // The copy path never issues hints, prefetch requested or not.
   options.snapshot_read.mode = storage::LoadMode::kCopy;
-  storage::LoadReport copy_report;
-  auto copied = Trinit::Open(path, options, &copy_report);
-  ASSERT_TRUE(copied.ok()) << copied.status();
-  EXPECT_EQ(copy_report.bytes_prefetched, 0u);
+  // Every run goes to the index arrays, not to a cached answer.
+  options.serving.cache_answers = false;
+  auto loaded = Trinit::Open(path, options);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+
+  const std::vector<std::string> queries = {
+      "?x bornIn Germany",
+      "AlbertEinstein hasAdvisor ?x",
+      "SELECT ?x WHERE ?x affiliation ?u ; ?u 'housed in' ?p",
+  };
+  std::vector<std::string> before;
+  for (const std::string& q : queries) {
+    before.push_back(RunOnce(*loaded, q).first);
+    EXPECT_FALSE(before.back().empty()) << q;
+  }
+
+  {
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
+    const std::streamsize size = in.tellg();
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    const std::string other(static_cast<size_t>(size) / 2, '\xa5');
+    out.write(other.data(), static_cast<std::streamsize>(other.size()));
+    ASSERT_TRUE(out.good());
+  }
+  // The file really changed under the engine: it no longer loads.
+  EXPECT_FALSE(Trinit::Open(path, options).ok());
+
+  for (size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_EQ(RunOnce(*loaded, queries[i]).first, before[i]) << queries[i];
+  }
 }
 
 TEST(SnapshotEngineTest, OpenPathErrorsAreTyped) {

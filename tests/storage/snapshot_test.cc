@@ -3,7 +3,8 @@
 // state, rules, generation) across the {copy, mmap} x {raw,
 // varint+delta} matrix, and rejection of foreign, truncated,
 // version-mismatched, codec-tampered, and bit-flipped files with typed
-// errors — never a crash, never UB, in either load mode.
+// errors — never a crash, never UB, and the same error code for the
+// same bytes in either load mode.
 
 #include "storage/snapshot.h"
 
@@ -49,6 +50,7 @@ constexpr size_t kHeaderBytes = 32;
 constexpr size_t kTableEntryBytes = 32;
 constexpr uint32_t kMetaId = 1;
 constexpr uint32_t kTriplesId = 3;
+constexpr uint32_t kGraphStatsId = 6;
 constexpr uint32_t kProvenanceId = 7;
 
 size_t TableEntryPos(const std::string& bytes, uint32_t id) {
@@ -98,6 +100,10 @@ constexpr ReadOptions kMappedRead{LoadMode::kMapped,
                                   rdf::SnapshotValidation::kFull};
 constexpr ReadOptions kTrustedRead{LoadMode::kMapped,
                                    rdf::SnapshotValidation::kTrusted};
+
+StatusCode CodeOf(const Result<LoadedSnapshot>& r) {
+  return r.ok() ? StatusCode::kOk : r.status().code();
+}
 
 /// Paper world + rules, with two score-ordered shapes forced built so
 /// the snapshot has a nontrivial laziness state to preserve.
@@ -309,11 +315,14 @@ TEST(SnapshotTest, TruncationsAreRejectedCleanly) {
                          64, 100, bytes.size() / 2, bytes.size() - 1};
   for (size_t cut : cuts) {
     Spit(path, bytes.substr(0, cut));
-    auto r = SnapshotReader::Read(path);
+    auto r = SnapshotReader::Read(path, kCopyRead);
     ASSERT_FALSE(r.ok()) << "cut at " << cut;
     EXPECT_TRUE(r.status().code() == StatusCode::kInvalidArgument ||
                 r.status().code() == StatusCode::kParseError)
         << "cut at " << cut << ": " << r.status();
+    // Both load modes walk the same bytes with the same loaders.
+    EXPECT_EQ(CodeOf(SnapshotReader::Read(path, kMappedRead)), CodeOf(r))
+        << "cut at " << cut;
   }
 }
 
@@ -334,7 +343,9 @@ TEST(SnapshotTest, FlippedBytesNeverLoadSilentlyWrong) {
     std::string mutated = bytes;
     mutated[pos] = static_cast<char>(mutated[pos] ^ 0x5a);
     Spit(path, mutated);
-    auto r = SnapshotReader::Read(path);
+    auto r = SnapshotReader::Read(path, kCopyRead);
+    EXPECT_EQ(CodeOf(SnapshotReader::Read(path, kMappedRead)), CodeOf(r))
+        << "flip at " << pos;
     if (!r.ok()) {
       ++failures;
       EXPECT_TRUE(r.status().code() == StatusCode::kInvalidArgument ||
@@ -418,17 +429,27 @@ TEST(SnapshotTest, MatrixRoundTripsByteIdenticallyAcrossModesAndCodecs) {
 
     const LoadReport& r = loaded->report;
     EXPECT_EQ(r.sections_raw + r.sections_varint, 8u) << c.label;
+    EXPECT_EQ(r.sections_viewed + r.sections_decoded, 8u) << c.label;
     const bool mapped_mode = c.options.mode == LoadMode::kMapped &&
                              MappedFile::Supported();
+    const bool raw_file = c.path == raw_path;
+    const bool trusted_mapped =
+        mapped_mode && c.options.verify == rdf::SnapshotValidation::kTrusted;
     EXPECT_EQ(r.mapped, mapped_mode) << c.label;
+    // The four raw index sections (TRIPLES, PERMS, SCORE, STATS) are
+    // views over the file bytes in every mode; a trusted mapped load
+    // also defers PROV.
+    EXPECT_EQ(r.sections_viewed,
+              (raw_file ? 4u : 0u) + (trusted_mapped ? 1u : 0u))
+        << c.label;
     if (!mapped_mode) {
-      // Copying loads decode everything and read every byte.
-      EXPECT_EQ(r.sections_mapped, 0u) << c.label;
+      // Copy loads fully verify, reading every byte; the owned file
+      // buffer the raw sections are viewed over is private memory.
       EXPECT_EQ(r.bytes_touched, r.bytes) << c.label;
-    } else if (c.options.verify == rdf::SnapshotValidation::kTrusted &&
-               c.path == raw_path) {
+      EXPECT_FALSE(r.provenance_deferred) << c.label;
+      if (raw_file) EXPECT_GE(r.resident_bytes, r.bytes) << c.label;
+    } else if (trusted_mapped && raw_file) {
       // The headline path: raw sections stay on disk, untouched.
-      EXPECT_GT(r.sections_mapped, 0u) << c.label;
       EXPECT_TRUE(r.provenance_deferred) << c.label;
       EXPECT_LT(r.bytes_touched, r.bytes) << c.label;
     } else if (c.options.verify == rdf::SnapshotValidation::kFull) {
@@ -640,6 +661,33 @@ TEST(SnapshotTest, TrustedCopyModeStillFullyVerifies) {
       path, {LoadMode::kCopy, rdf::SnapshotValidation::kTrusted});
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kParseError);
+}
+
+TEST(SnapshotTest, DuplicateStatsPredicateIsTheSameErrorInEveryMode) {
+  Fixture f;
+  const std::string path = TempPath("dup_stats.trinit");
+  ASSERT_TRUE(SnapshotWriter::Write(f.xkg, f.rules, 0, path).ok());
+  std::string bytes = Slurp(path);
+  // Raw STATS: u64 predicate count, then per predicate a 32-byte header
+  // (u32 id first, u64 pair count at +24) followed by its 8-byte pairs.
+  auto [offset, length] = SectionExtent(bytes, kGraphStatsId);
+  uint64_t count = 0, first_pairs = 0;
+  std::memcpy(&count, bytes.data() + offset, sizeof(count));
+  ASSERT_GE(count, 2u);
+  const size_t first = static_cast<size_t>(offset) + 8;
+  std::memcpy(&first_pairs, bytes.data() + first + 24, sizeof(first_pairs));
+  const size_t second = first + 32 + static_cast<size_t>(first_pairs) * 8;
+  ASSERT_LT(second + 32, offset + length);
+  // The second predicate takes the first one's id; the checksum is
+  // fixed up so the STATS loader itself must reject the duplicate.
+  std::memcpy(bytes.data() + second, bytes.data() + first, 4);
+  FixSectionChecksum(&bytes, kGraphStatsId);
+  Spit(path, bytes);
+  for (const ReadOptions& options : {kCopyRead, kMappedRead, kTrustedRead}) {
+    auto r = SnapshotReader::Read(path, options);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kParseError) << r.status();
+  }
 }
 
 }  // namespace
