@@ -43,7 +43,7 @@ int main() {
     WallTimer query_timer;
     const int reps = 5;
     for (int i = 0; i < reps; ++i) {
-      auto r = engine->Query(query_text, 10);
+      auto r = engine->Execute(core::QueryRequest::Text(query_text, 10));
       if (!r.ok()) return 1;
     }
     double query_ms = query_timer.ElapsedMillis() / reps;

@@ -46,19 +46,19 @@ int main() {
     auto q = query::Parser::Parse(c.query, &engine.xkg().dict());
     if (!q.ok()) return 1;
     auto plain_result = plain.Answer(*q);
-    auto trinit_result = engine.Answer(*q, 3);
-    if (!plain_result.ok() || !trinit_result.ok()) return 1;
+    auto trinit_response = engine.Execute(core::QueryRequest::Parsed(*q, 3));
+    if (!plain_result.ok() || !trinit_response.ok()) return 1;
+    const topk::TopKResult& trinit_result = trinit_response->result();
 
     std::string top = "-";
     std::string relaxed = "-";
-    if (!trinit_result->answers.empty()) {
-      top = engine.RenderAnswer(*trinit_result, 0);
-      relaxed =
-          trinit_result->answers[0].used_relaxation() ? "yes" : "no";
+    if (!trinit_result.answers.empty()) {
+      top = engine.RenderAnswer(trinit_result, 0);
+      relaxed = trinit_result.answers[0].used_relaxation() ? "yes" : "no";
     }
     table.AddRow({c.user, c.query,
                   std::to_string(plain_result->answers.size()),
-                  std::to_string(trinit_result->answers.size()), top,
+                  std::to_string(trinit_result.answers.size()), top,
                   relaxed});
   }
   std::printf("%s\n", table.ToString().c_str());

@@ -37,24 +37,26 @@ int main() {
   if (!engine->AddManualRules(user_rules).ok()) return 1;
   auto q = query::Parser::Parse(query_text, &engine->xkg().dict());
   if (!q.ok()) return 1;
-  auto result = engine->Answer(*q, num_results);
-  if (!result.ok()) return 1;
+  auto response =
+      engine->Execute(core::QueryRequest::Parsed(*q, num_results));
+  if (!response.ok()) return 1;
+  const topk::TopKResult& result = response->result();
 
   AsciiTable answers({"rank", "?x", "score", "via relaxation"});
-  for (size_t i = 0; i < result->answers.size(); ++i) {
+  for (size_t i = 0; i < result.answers.size(); ++i) {
     answers.AddRow({std::to_string(i + 1),
-                    engine->RenderAnswer(*result, i),
-                    FormatDouble(result->answers[i].score, 3),
-                    result->answers[i].used_relaxation() ? "yes" : "no"});
+                    engine->RenderAnswer(result, i),
+                    FormatDouble(result.answers[i].score, 3),
+                    result.answers[i].used_relaxation() ? "yes" : "no"});
   }
   std::printf("answers:\n%s\n", answers.ToString().c_str());
 
   std::printf("processing: %zu/%zu per-pattern relaxations opened, %zu "
               "index-list items pulled, %zu join combinations\n",
-              result->stats.alternatives_opened,
-              result->stats.alternatives_total,
-              result->stats.items_pulled,
-              result->stats.combinations_emitted);
+              response->stats.alternatives_opened,
+              response->stats.alternatives_total,
+              response->stats.items_pulled,
+              response->stats.combinations_emitted);
 
   // The interface also offers auto-completion; emulate the lookup that
   // backs it.

@@ -19,14 +19,15 @@ int main() {
       "IvyLeague",
       &engine.xkg().dict());
   if (!q.ok()) return 1;
-  auto result = engine.Answer(*q, 5);
-  if (!result.ok() || result->answers.empty()) {
+  auto response = engine.Execute(core::QueryRequest::Parsed(*q, 5));
+  if (!response.ok() || response->result().answers.empty()) {
     std::fprintf(stderr, "expected an answer for user C\n");
     return 1;
   }
 
-  for (size_t rank = 0; rank < result->answers.size(); ++rank) {
-    std::printf("%s\n", engine.Explain(*result, rank).ToString().c_str());
+  const topk::TopKResult& result = response->result();
+  for (size_t rank = 0; rank < result.answers.size(); ++rank) {
+    std::printf("%s\n", engine.Explain(result, rank).ToString().c_str());
   }
 
   std::printf("paper's explanation shows: (i) contributing KG triples, "

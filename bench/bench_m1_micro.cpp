@@ -199,8 +199,9 @@ void BM_PaperWorldQuery(benchmark::State& state) {
       "IvyLeague",
       &engine.xkg().dict());
   if (!q.ok()) std::abort();
+  const core::QueryRequest request = core::QueryRequest::Parsed(*q, 5);
   for (auto _ : state) {
-    auto r = engine.Answer(*q, 5);
+    auto r = engine.Execute(request);
     benchmark::DoNotOptimize(r);
   }
   state.SetItemsProcessed(state.iterations());

@@ -4,18 +4,17 @@
 // order with precomputed pair join-key signatures; the join engine
 // partitions its seen items by those signatures so a Combine probe
 // touches only join-compatible candidates. This bench runs a
-// multi-pattern query mix through three configurations of the same
+// multi-pattern query mix through two configurations of the same
 // processor:
 //
 //   planned  — cost order + hash-partitioned probing (production)
 //   parser   — parser pattern order + hash-partitioned probing
-//   seed     — parser pattern order + linear seen-scans (the seed
-//              implementation this PR replaces)
 //
 // and reports p50/p95 latency plus the deterministic probe counters
 // (`combinations_tried` = candidates examined). Answer sets must be
-// byte-identical across all three; the property tests prove it at
-// scale, the bench refuses to report numbers for diverging runs.
+// byte-identical across both; the property tests prove it at scale
+// (and pin hash partitioning against the plan-less linear scan), the
+// bench refuses to report numbers for diverging runs.
 //
 //   ./build/bench/bench_p2_join [--counters-only] [out.json]
 //                               (default: BENCH_P2.json)
@@ -23,8 +22,9 @@
 // --counters-only omits the machine-local p50/p95 wall-times from the
 // JSON so cross-machine comparisons see only deterministic counters.
 //
-// Exit code is non-zero if answers diverge or hash-partitioned probing
-// fails to reduce probe work per pulled item vs. the seed linear scan.
+// Exit code is non-zero if answers diverge or cost ordering more than
+// doubles probe work vs. parser order. Probe work itself is gated by
+// bench/check_regression.py against the committed counters.
 
 #include <algorithm>
 #include <cmath>
@@ -48,7 +48,6 @@ using trinit::bench::Percentile;
 struct Config {
   const char* name;
   bool cost_order;
-  trinit::topk::JoinEngine::ProbeMode probe;
 };
 
 struct Side {
@@ -98,11 +97,10 @@ int main(int argc, char** argv) {
   };
 
   const Config configs[] = {
-      {"planned", true, topk::JoinEngine::ProbeMode::kHashPartition},
-      {"parser", false, topk::JoinEngine::ProbeMode::kHashPartition},
-      {"seed", false, topk::JoinEngine::ProbeMode::kLinear},
+      {"planned", true},
+      {"parser", false},
   };
-  constexpr size_t kNumConfigs = 3;
+  constexpr size_t kNumConfigs = 2;
 
   std::vector<topk::TopKProcessor> processors;
   processors.reserve(kNumConfigs);
@@ -110,15 +108,13 @@ int main(int argc, char** argv) {
     topk::ProcessorOptions opts;
     opts.k = kK;
     opts.use_cost_order = config.cost_order;
-    opts.join.probe_mode = config.probe;
     processors.emplace_back(xkg, rules, scoring::ScorerOptions{}, opts);
   }
 
-  AsciiTable table({"query", "planned p50", "seed p50", "planned tried",
-                    "parser tried", "seed tried", "pulls", "probe/pull",
-                    "seed probe/pull"});
-  size_t total_tried[kNumConfigs] = {0, 0, 0};
-  size_t total_pulled[kNumConfigs] = {0, 0, 0};
+  AsciiTable table({"query", "planned p50", "parser p50", "planned tried",
+                    "parser tried", "pulls", "probe/pull"});
+  size_t total_tried[kNumConfigs] = {0, 0};
+  size_t total_pulled[kNumConfigs] = {0, 0};
   bool answers_match = true;
 
   FILE* json = std::fopen(out_path, "w");
@@ -183,61 +179,47 @@ int main(int argc, char** argv) {
     std::fprintf(json, "%s\n", qi + 1 < queries.size() ? "    ," : "");
 
     const auto& planned = sides[0].result.stats;
-    const auto& seed = sides[2].result.stats;
-    auto per_pull = [](size_t tried, size_t pulled) {
-      return pulled == 0 ? 0.0
-                         : static_cast<double>(tried) /
-                               static_cast<double>(pulled);
-    };
+    const double per_pull =
+        planned.items_pulled == 0
+            ? 0.0
+            : static_cast<double>(planned.combinations_tried) /
+                  static_cast<double>(planned.items_pulled);
     std::string label =
         text.size() > 34 ? text.substr(0, 31) + "..." : text;
     table.AddRow({label, FormatDouble(Percentile(sides[0].ms, 0.5), 2),
-                  FormatDouble(Percentile(sides[2].ms, 0.5), 2),
+                  FormatDouble(Percentile(sides[1].ms, 0.5), 2),
                   std::to_string(planned.combinations_tried),
                   std::to_string(sides[1].result.stats.combinations_tried),
-                  std::to_string(seed.combinations_tried),
                   std::to_string(planned.items_pulled),
-                  FormatDouble(
-                      per_pull(planned.combinations_tried,
-                               planned.items_pulled), 2),
-                  FormatDouble(per_pull(seed.combinations_tried,
-                                        seed.items_pulled), 2)});
+                  FormatDouble(per_pull, 2)});
   }
 
   double planned_per_pull =
       total_pulled[0] == 0 ? 0.0
                            : static_cast<double>(total_tried[0]) /
                                  static_cast<double>(total_pulled[0]);
-  double seed_per_pull =
-      total_pulled[2] == 0 ? 0.0
-                           : static_cast<double>(total_tried[2]) /
-                                 static_cast<double>(total_pulled[2]);
   std::fprintf(json,
                "  ],\n  \"totals\": {\"planned_combinations_tried\": %zu, "
                "\"parser_combinations_tried\": %zu, "
-               "\"seed_combinations_tried\": %zu, "
                "\"planned_items_pulled\": %zu, "
-               "\"seed_items_pulled\": %zu, "
                "\"planned_tried_per_pull\": %.4f, "
-               "\"seed_tried_per_pull\": %.4f, "
                "\"answers_match\": %s}\n}\n",
-               total_tried[0], total_tried[1], total_tried[2],
-               total_pulled[0], total_pulled[2], planned_per_pull,
-               seed_per_pull, answers_match ? "true" : "false");
+               total_tried[0], total_tried[1], total_pulled[0],
+               planned_per_pull, answers_match ? "true" : "false");
   std::fclose(json);
 
   std::printf("%s\n", table.ToString().c_str());
   std::printf(
-      "totals: planned tried %zu (%.2f/pull), parser tried %zu, seed "
-      "tried %zu (%.2f/pull); answers %s\n",
-      total_tried[0], planned_per_pull, total_tried[1], total_tried[2],
-      seed_per_pull, answers_match ? "identical" : "DIVERGED");
+      "totals: planned tried %zu (%.2f/pull), parser tried %zu; answers "
+      "%s\n",
+      total_tried[0], planned_per_pull, total_tried[1],
+      answers_match ? "identical" : "DIVERGED");
   std::printf("wrote %s\n", out_path);
 
-  if (!answers_match || planned_per_pull >= seed_per_pull) {
+  if (!answers_match) {
     std::fprintf(stderr,
-                 "P2 REGRESSION: hash-partitioned probing did not reduce "
-                 "probe work per pull\n");
+                 "P2 REGRESSION: planned and parser-order answers "
+                 "diverged\n");
     return 1;
   }
   // Cost ordering must not quietly make probing worse than not planning

@@ -116,8 +116,10 @@ fi
 
 echo "== release perf (P1: lazy streaming; P2: planned join; P3: serving cache; P4: snapshot cold start; E1: answer quality) =="
 # Optimized build for the latency exhibits — the perf trajectory is
-# tracked in BENCH_P1/P2/P3.json. Each bench exits non-zero if its
-# optimization stops saving work or answers diverge. The JSONs are
+# tracked in BENCH_P1/P2/P3.json. Each bench exits non-zero if answers
+# diverge between its compared paths or its own invariant fails (P2:
+# cost ordering more than doubles probe work vs parser order; P2's
+# probe work itself is held by the bench gate below). The JSONs are
 # written counters-only: wall-times are machine-local noise, the work
 # counters are what cross-machine comparisons can trust (latencies
 # still print to stdout). Fresh JSONs land in the release dir first so

@@ -70,18 +70,19 @@ void Explore(Trinit& engine, const char* user, const char* question,
               exact.ok() ? exact->answers.size() : 0);
 
   // Then TriniT.
-  auto result = engine.Answer(*parsed, 5);
-  if (!result.ok()) {
-    std::printf("  error: %s\n", result.status().ToString().c_str());
+  auto response =
+      engine.Execute(trinit::core::QueryRequest::Parsed(*parsed, 5));
+  if (!response.ok()) {
+    std::printf("  error: %s\n", response.status().ToString().c_str());
     return;
   }
-  std::printf("  with TriniT:        %zu answer(s)\n",
-              result->answers.size());
-  for (size_t i = 0; i < result->answers.size(); ++i) {
-    std::printf("\n%s", engine.Explain(*result, i).ToString().c_str());
+  const trinit::topk::TopKResult& result = response->result();
+  std::printf("  with TriniT:        %zu answer(s)\n", result.answers.size());
+  for (size_t i = 0; i < result.answers.size(); ++i) {
+    std::printf("\n%s", engine.Explain(result, i).ToString().c_str());
   }
 
-  auto suggestions = engine.Suggest(*parsed, *result);
+  auto suggestions = engine.Suggest(*parsed, result);
   if (!suggestions.empty()) {
     std::printf("\n  Suggestions:\n");
     for (const auto& suggestion : suggestions) {

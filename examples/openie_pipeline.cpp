@@ -80,21 +80,22 @@ int main(int argc, char** argv) {
   std::printf("  ground truth: %s\n",
               world.entities[target->object].name.c_str());
 
-  auto result = engine->Query(query_text, 3);
-  if (!result.ok()) {
-    std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
+  auto response = engine->Execute(core::QueryRequest::Text(query_text, 3));
+  if (!response.ok()) {
+    std::fprintf(stderr, "%s\n", response.status().ToString().c_str());
     return 1;
   }
-  if (result->answers.empty()) {
+  const topk::TopKResult& result = response->result();
+  if (result.answers.empty()) {
     std::printf("  no answers (try a larger world)\n");
   }
-  for (size_t i = 0; i < result->answers.size(); ++i) {
+  for (size_t i = 0; i < result.answers.size(); ++i) {
     std::printf("  #%zu %s\n", i + 1,
-                engine->RenderAnswer(*result, i).c_str());
+                engine->RenderAnswer(result, i).c_str());
   }
-  if (!result->answers.empty()) {
+  if (!result.answers.empty()) {
     std::printf("\nBest answer explained:\n%s",
-                engine->Explain(*result, 0).ToString().c_str());
+                engine->Explain(result, 0).ToString().c_str());
   }
   return 0;
 }

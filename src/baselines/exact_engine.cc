@@ -50,11 +50,4 @@ Result<core::QueryResponse> ExactEngine::Execute(
   return response;
 }
 
-Result<topk::TopKResult> ExactEngine::Answer(const query::Query& q,
-                                             int k) const {
-  core::QueryRequest request = core::QueryRequest::Parsed(q, k);
-  TRINIT_ASSIGN_OR_RETURN(core::QueryResponse response, Execute(request));
-  return response.ReleaseResult();  // no cache shares the body: a move
-}
-
 }  // namespace trinit::baselines

@@ -29,10 +29,6 @@ class ExactEngine : public core::Engine {
   Result<core::QueryResponse> Execute(
       const core::QueryRequest& request) const override;
 
-  /// Evaluates `q` with the engine's exact semantics (shim over
-  /// `Execute`).
-  Result<topk::TopKResult> Answer(const query::Query& q, int k) const;
-
  private:
   const xkg::Xkg& xkg_;
   relax::RuleSet empty_rules_;

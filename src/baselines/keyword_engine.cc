@@ -54,13 +54,6 @@ Result<core::QueryResponse> KeywordEngine::Execute(
   return response;
 }
 
-Result<topk::TopKResult> KeywordEngine::Answer(const query::Query& q,
-                                               int k) const {
-  core::QueryRequest request = core::QueryRequest::Parsed(q, k);
-  TRINIT_ASSIGN_OR_RETURN(core::QueryResponse response, Execute(request));
-  return response.ReleaseResult();  // no cache shares the body: a move
-}
-
 Result<topk::TopKResult> KeywordEngine::AnswerWith(
     const scoring::LmScorer& scorer, const query::Query& q, int k) const {
   TRINIT_RETURN_IF_ERROR(q.Validate());

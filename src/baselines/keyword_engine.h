@@ -41,9 +41,6 @@ class KeywordEngine : public core::Engine {
   Result<core::QueryResponse> Execute(
       const core::QueryRequest& request) const override;
 
-  /// Shim over `Execute` for already-parsed queries.
-  Result<topk::TopKResult> Answer(const query::Query& q, int k) const;
-
  private:
   Result<topk::TopKResult> AnswerWith(const scoring::LmScorer& scorer,
                                       const query::Query& q, int k) const;

@@ -20,26 +20,7 @@ QueryRequest QueryRequest::Parsed(query::Query query, int k) {
 
 void QueryResponse::AdoptResult(topk::TopKResult result) {
   stats = result.stats;
-  // The pointee is created non-const (and viewed through a
-  // shared_ptr<const ...>) so ReleaseResult may legally cast away the
-  // const and move out of a uniquely-owned body.
-  result_body = std::make_shared<topk::TopKResult>(std::move(result));
-}
-
-topk::TopKResult QueryResponse::ReleaseResult() {
-  topk::TopKResult out;
-  if (result_body == nullptr) return out;  // no body (failed/released)
-  if (result_body.use_count() == 1) {
-    // Sole owner (no cache entry aliases it): stealing the body is safe
-    // and legal — every body is allocated non-const (see AdoptResult;
-    // cache hits alias bodies that were stored through the same path).
-    out = std::move(const_cast<topk::TopKResult&>(*result_body));
-  } else {
-    out = *result_body;
-  }
-  out.stats = stats;
-  result_body.reset();
-  return out;
+  result_body = std::make_shared<const topk::TopKResult>(std::move(result));
 }
 
 ResolvedOptions ResolveRequestOptions(

@@ -143,15 +143,6 @@ struct QueryResponse {
   /// every `Engine`).
   void AdoptResult(topk::TopKResult result);
 
-  /// Takes the body out as an owned value carrying this request's
-  /// `stats`, leaving the response without a body (a second call, or a
-  /// call on a body-less response, yields an empty result). Moves when
-  /// the body is uniquely owned (no answer cache shares it — the
-  /// baselines and cache-off paths), copies otherwise; the legacy
-  /// by-value `Query()`/`Answer()` shims use this to keep their
-  /// pre-shared-body cost profile.
-  topk::TopKResult ReleaseResult();
-
   /// Engine-level serving-cache state for this request (see
   /// `ServingStats`).
   ServingStats serving;

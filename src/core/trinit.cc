@@ -461,21 +461,6 @@ std::vector<Result<QueryResponse>> Trinit::ExecuteBatch(
   return results;
 }
 
-Result<topk::TopKResult> Trinit::Query(std::string_view text, int k) const {
-  TRINIT_ASSIGN_OR_RETURN(QueryResponse response,
-                          Execute(QueryRequest::Text(std::string(text), k)));
-  // Moves when the body is not shared with the answer cache, copies
-  // when it is; stats are per-request, zero on a hit.
-  return response.ReleaseResult();
-}
-
-Result<topk::TopKResult> Trinit::Answer(const query::Query& q,
-                                        int k) const {
-  TRINIT_ASSIGN_OR_RETURN(QueryResponse response,
-                          Execute(QueryRequest::Parsed(q, k)));
-  return response.ReleaseResult();
-}
-
 explain::Explanation Trinit::Explain(const topk::TopKResult& result,
                                      size_t rank) const {
   TRINIT_CHECK(rank < result.answers.size());

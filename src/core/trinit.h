@@ -72,13 +72,13 @@ struct TrinitOptions {
 /// query suggestion.
 ///
 /// Threading: the engine is internally synchronized by a single
-/// reader-writer lock (`state_mu_`). `Execute` (and the `Query`/
-/// `Answer` shims over it), `Save`, `Explain`, `Suggest`, and
-/// `RenderAnswer` take it shared, so any number of threads may query
-/// one engine concurrently — `ExecuteBatch` does exactly that. The
-/// mutating members (`AddManualRules`, `ExtendKg`, `RunOperator`) take
-/// it exclusive: they may now run concurrently with queries — a query
-/// observes the engine strictly before or strictly after the mutation,
+/// reader-writer lock (`state_mu_`). `Execute` (the only query entry
+/// point), `Save`, `Explain`, `Suggest`, and `RenderAnswer` take it
+/// shared, so any number of threads may query one engine concurrently
+/// — `ExecuteBatch` does exactly that. The mutating members
+/// (`AddManualRules`, `ExtendKg`, `RunOperator`) take it exclusive:
+/// they may now run concurrently with queries — a query observes the
+/// engine strictly before or strictly after the mutation,
 /// never mid-rebuild — and each bumps the serving cache's generation
 /// before releasing the lock so no stale plan or answer survives.
 /// Lock ordering: `state_mu_` is always acquired before any serving- or
@@ -176,17 +176,6 @@ class Trinit : public Engine {
   /// with `requests`; each is its request's independent success/error.
   std::vector<Result<QueryResponse>> ExecuteBatch(
       std::span<const QueryRequest> requests, int num_threads = 0) const;
-
-  // ------------------------------------- compatibility shims (legacy)
-
-  /// Parses and answers a query. Thin shim over `Execute`; prefer the
-  /// request/response API, which exposes per-request options and
-  /// timings. Kept for source compatibility (see docs/API.md).
-  Result<topk::TopKResult> Query(std::string_view text, int k = 10) const;
-
-  /// Answers an already-built query. Thin shim over `Execute` (see
-  /// `Query`).
-  Result<topk::TopKResult> Answer(const query::Query& q, int k = 10) const;
 
   // ----------------------------------------------- exploration extras
 

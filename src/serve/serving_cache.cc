@@ -81,10 +81,6 @@ std::string ServingCache::AnswerKey(const query::Query& canonical,
   key += ":" + std::to_string(processor.max_query_variants);
   key += "|jn=";
   key += processor.use_cost_order ? 'c' : 'p';
-  key += processor.join.probe_mode ==
-                 topk::JoinEngine::ProbeMode::kHashPartition
-             ? 'h'
-             : 'l';
   key += processor.join.max_over_derivations ? 'm' : 's';
   key += processor.join.drain ? 'd' : '-';
   key += processor.exhaustive ? 'e' : '-';

@@ -39,57 +39,60 @@ JoinEngine::JoinEngine(std::vector<std::unique_ptr<BindingStream>> streams,
       projection_(std::move(projection)),
       options_(std::move(options)) {
   const size_t n = streams_.size();
-  hash_probing_ = options_.probe_mode == ProbeMode::kHashPartition &&
-                  options_.plan != nullptr &&
-                  options_.plan->num_patterns() == n;
+  const plan::JoinPlan* plan = options_.plan.get();
+  TRINIT_CHECK(plan == nullptr || plan->num_patterns() == n);
   seen_.resize(n);
-  if (hash_probing_) {
+  if (plan != nullptr) {
     for (SeenState& state : seen_) {
       state.buckets.resize(n);
       state.wildcard.resize(n);
     }
-    // Per pulled stream, a visitation order over the other streams that
-    // keeps every step hash-probable: prefer the stream whose widest
-    // join signature points at something already in the frame (the
-    // pulled stream or an earlier visit); only a genuinely disconnected
-    // stream joins as a cross product (kNoPartner, linear scan).
-    visit_order_.resize(n);
-    probe_partner_.resize(n);
-    for (size_t s = 0; s < n; ++s) {
-      std::vector<bool> in_frame(n, false);
-      in_frame[s] = true;
-      std::vector<bool> placed(n, false);
-      placed[s] = true;
-      for (size_t step = 0; step + 1 < n; ++step) {
-        size_t best = kNoPartner;
-        size_t best_partner = kNoPartner;
-        size_t best_width = 0;
-        for (size_t j = 0; j < n; ++j) {
-          if (placed[j]) continue;
-          size_t partner = kNoPartner;
-          for (size_t a : options_.plan->probe_preference[j]) {
-            if (in_frame[a]) {
-              partner = a;
-              break;
-            }
-          }
-          if (best == kNoPartner && partner == kNoPartner) {
-            best = j;  // disconnected placeholder; a keyed one may win
-            continue;
-          }
-          if (partner == kNoPartner) continue;
-          size_t width = options_.plan->JoinKey(j, partner).size();
-          if (best_partner == kNoPartner || width > best_width) {
-            best = j;
-            best_partner = partner;
-            best_width = width;
+  }
+  // Per pulled stream, a visitation order over the other streams that
+  // keeps every step hash-probable: prefer the stream whose widest join
+  // signature points at something already in the frame (the pulled
+  // stream or an earlier visit); only a disconnected stream joins as a
+  // cross product (kNoPartner, linear scan). Without a plan nothing has
+  // a partner, so the lowest-index placeholder wins every step: index
+  // order with full scans.
+  const std::vector<size_t> no_preference;
+  visit_order_.resize(n);
+  probe_partner_.resize(n);
+  for (size_t s = 0; s < n; ++s) {
+    std::vector<bool> in_frame(n, false);
+    in_frame[s] = true;
+    std::vector<bool> placed(n, false);
+    placed[s] = true;
+    for (size_t step = 0; step + 1 < n; ++step) {
+      size_t best = kNoPartner;
+      size_t best_partner = kNoPartner;
+      size_t best_width = 0;
+      for (size_t j = 0; j < n; ++j) {
+        if (placed[j]) continue;
+        size_t partner = kNoPartner;
+        for (size_t a :
+             plan != nullptr ? plan->probe_preference[j] : no_preference) {
+          if (in_frame[a]) {
+            partner = a;
+            break;
           }
         }
-        visit_order_[s].push_back(best);
-        probe_partner_[s].push_back(best_partner);
-        placed[best] = true;
-        in_frame[best] = true;
+        if (best == kNoPartner && partner == kNoPartner) {
+          best = j;  // disconnected placeholder; a keyed one may win
+          continue;
+        }
+        if (partner == kNoPartner) continue;
+        size_t width = plan->JoinKey(j, partner).size();
+        if (best_partner == kNoPartner || width > best_width) {
+          best = j;
+          best_partner = partner;
+          best_width = width;
+        }
       }
+      visit_order_[s].push_back(best);
+      probe_partner_[s].push_back(best_partner);
+      placed[best] = true;
+      in_frame[best] = true;
     }
   }
   top1_.assign(n, BindingStream::kExhausted);
@@ -172,7 +175,7 @@ void JoinEngine::Emit(const query::Binding& binding, double score,
 void JoinEngine::Insert(size_t stream_idx, BindingStream::Item item) {
   SeenState& state = seen_[stream_idx];
   state.items.push_back(std::move(item));
-  if (!hash_probing_) return;
+  if (options_.plan == nullptr) return;  // no join keys to partition by
   const uint32_t pos = static_cast<uint32_t>(state.items.size() - 1);
   const query::Binding& binding = state.items.back().binding;
   for (size_t a = 0; a < streams_.size(); ++a) {
@@ -192,11 +195,9 @@ void JoinEngine::Insert(size_t stream_idx, BindingStream::Item item) {
 void JoinEngine::Combine(size_t stream_idx,
                          const BindingStream::Item& item) {
   // Backtracking join of `item` with one seen item from every other
-  // stream. In hash mode the streams are visited in the precomputed
-  // connectivity order for `stream_idx`, so every step (except genuine
-  // cross products) probes a hash partition keyed off something already
-  // merged into the frame; in linear mode (the seed behavior) they are
-  // visited in index order with full seen-list scans.
+  // stream, visited in the precomputed connectivity order for
+  // `stream_idx`: every step except a cross product probes a hash
+  // partition keyed off something already merged into the frame.
   struct Frame {
     query::Binding binding;
     double score;
@@ -225,15 +226,8 @@ void JoinEngine::Combine(size_t stream_idx,
           Emit(frame.binding, frame.score, std::move(derivation));
           return;
         }
-        size_t idx;
-        size_t partner = kNoPartner;
-        if (hash_probing_) {
-          idx = visit_order_[stream_idx][depth];
-          partner = probe_partner_[stream_idx][depth];
-        } else {
-          // Seed order: stream indices ascending, skipping the pull.
-          idx = depth < stream_idx ? depth : depth + 1;
-        }
+        const size_t idx = visit_order_[stream_idx][depth];
+        const size_t partner = probe_partner_[stream_idx][depth];
         const SeenState& state = seen_[idx];
         auto try_candidate = [&](const BindingStream::Item& cand) {
           ++stats_.combinations_tried;
@@ -280,18 +274,14 @@ std::vector<Answer> JoinEngine::Run() {
   constexpr size_t kDeadlineCheckMask = 63;  // amortize the clock reads
   const bool has_deadline =
       options_.deadline != std::chrono::steady_clock::time_point{};
-  // Heap-mode pull selection: stream heads only descend, so the lazy
-  // max-heap re-peeks at most the stale top instead of every stream
-  // every round (the seed's O(#patterns) scan, kept as
-  // PullMode::kLinear). Ties break by stream index in both modes
-  // (insertion order below), so the pull sequence is identical.
-  const bool heap_pull = options_.pull_mode == PullMode::kHeap;
+  // Pull selection: stream heads only descend, so a lazy max-heap
+  // re-peeks at most the stale top instead of every stream every round.
+  // Ties break by stream index (insertion order below), so each pull
+  // takes the highest head, the lowest index among equals.
   LazyMaxHeap<size_t> pull_heap;
-  if (heap_pull) {
-    for (size_t i = 0; i < streams_.size(); ++i) {
-      const BindingStream::Item* item = streams_[i]->Peek();
-      if (item != nullptr) pull_heap.Push(i, item->log_score);
-    }
+  for (size_t i = 0; i < streams_.size(); ++i) {
+    const BindingStream::Item* item = streams_[i]->Peek();
+    if (item != nullptr) pull_heap.Push(i, item->log_score);
   }
   auto head_score = [this](size_t i) -> std::optional<double> {
     const BindingStream::Item* item = streams_[i]->Peek();
@@ -317,21 +307,9 @@ std::vector<Answer> JoinEngine::Run() {
     }
 
     // Pull from the stream with the highest next item.
-    size_t best_idx = streams_.size();
-    if (heap_pull) {
-      std::optional<size_t> best = pull_heap.Best(head_score);
-      if (best.has_value()) best_idx = *best;
-    } else {
-      double best_score = BindingStream::kExhausted;
-      for (size_t i = 0; i < streams_.size(); ++i) {
-        const BindingStream::Item* item = streams_[i]->Peek();
-        if (item != nullptr && item->log_score > best_score) {
-          best_idx = i;
-          best_score = item->log_score;
-        }
-      }
-    }
-    if (best_idx == streams_.size()) break;  // everything exhausted
+    std::optional<size_t> best = pull_heap.Best(head_score);
+    if (!best.has_value()) break;  // everything exhausted
+    const size_t best_idx = *best;
 
     BindingStream::Item item = *streams_[best_idx]->Peek();
     streams_[best_idx]->Pop();

@@ -34,23 +34,11 @@ namespace trinit::topk {
 /// constructed in the plan's execution order), each stream's seen items
 /// are hash-partitioned per counterpart stream by the pair's join-key
 /// signature, so a probe touches only join-compatible candidates —
-/// O(matches) instead of O(seen). Without a plan (or with
-/// `ProbeMode::kLinear`) every probe scans the full seen list, the seed
-/// behavior the property tests pin the partitioned mode against.
+/// O(matches) instead of O(seen). Without a plan every stream pair is a
+/// cross product: the same visitation code then walks the other streams
+/// in index order and scans each seen list in full.
 class JoinEngine {
  public:
-  /// How `Combine` selects candidate partners among seen items.
-  enum class ProbeMode {
-    kHashPartition,  ///< per-pair hash partitions (requires a plan)
-    kLinear,         ///< full scan of every seen list (seed behavior)
-  };
-
-  /// How `Run` selects the stream to pull from each round.
-  enum class PullMode {
-    kHeap,    ///< lazy max-heap over head scores, O(log #patterns)
-    kLinear,  ///< peek every stream per pull (seed behavior), O(#patterns)
-  };
-
   struct Options {
     int k = 10;
     size_t max_pulls = 200000;  ///< hard safety cap
@@ -65,15 +53,10 @@ class JoinEngine {
     /// Drain every stream completely instead of stopping at the top-k
     /// threshold (the exhaustive comparator of bench E3).
     bool drain = false;
-    ProbeMode probe_mode = ProbeMode::kHashPartition;
-    /// Pull selection. The two modes choose the identical stream
-    /// sequence (heads only descend; ties break by stream index either
-    /// way) — kLinear exists as the determinism comparator and forces
-    /// every stream's head to materialize every round.
-    PullMode pull_mode = PullMode::kHeap;
     /// The compiled plan the streams were built under: stream index `i`
-    /// must hold the pattern at the plan's execution position `i`. Null
-    /// degrades every probe to the linear scan (join keys unknown).
+    /// must hold the pattern at the plan's execution position `i` (and
+    /// the plan must cover exactly the streams given). Null means no join
+    /// keys are known: every probe scans the full seen list.
     std::shared_ptr<const plan::JoinPlan> plan;
   };
 
@@ -88,7 +71,7 @@ class JoinEngine {
     /// Candidate combinations *examined* — every seen item a Combine
     /// probe tested against the accumulated binding (the join's probe
     /// work). Hash partitioning shrinks this; the emitted-combination
-    /// count below is identical across probe modes.
+    /// count below does not depend on the plan.
     size_t combinations_tried = 0;
     /// Complete n-way combinations that reached Emit (the seed's
     /// original `combinations_tried` meaning).
@@ -117,7 +100,7 @@ class JoinEngine {
   const Stats& stats() const { return stats_; }
 
  private:
-  /// One stream's seen items plus, in hash mode, a partition per
+  /// One stream's seen items plus, with a plan, a partition per
   /// counterpart stream: buckets keyed by the hash of the item's values
   /// on the pair's join-key signature, and a wildcard list for items
   /// that leave a signature variable unbound (they merge with anything,
@@ -140,15 +123,14 @@ class JoinEngine {
   std::vector<query::VarId> projection_;
   Options options_;
   Stats stats_;
-  bool hash_probing_ = false;  // plan present and hash mode selected
 
   static constexpr size_t kNoPartner = static_cast<size_t>(-1);
-  /// Hash mode only: for each pulled stream `s`, the order Combine
-  /// visits the other streams in — always a stream with a join partner
-  /// already in the frame when one exists, so probes stay hash-narrowed
-  /// regardless of which stream was pulled — and that partner, chosen
-  /// widest-signature-first (`kNoPartner` = genuine cross product,
-  /// scanned linearly).
+  /// For each pulled stream `s`, the order Combine visits the other
+  /// streams in — always a stream with a join partner already in the
+  /// frame when one exists, so probes stay hash-narrowed regardless of
+  /// which stream was pulled — and that partner, chosen
+  /// widest-signature-first (`kNoPartner` = cross product, scanned
+  /// linearly; with no plan every step is one, in index order).
   std::vector<std::vector<size_t>> visit_order_;
   std::vector<std::vector<size_t>> probe_partner_;
 

@@ -79,25 +79,21 @@ void TopKProcessor::EvaluateVariant(
   // use the precomputed pair signatures directly. Derivation steps keep
   // the *original* pattern index — execution order is invisible to
   // answers and explanations.
-  std::shared_ptr<const plan::JoinPlan> jplan;
-  if (options_.use_cost_order ||
-      options_.join.probe_mode == JoinEngine::ProbeMode::kHashPartition) {
-    bool cache_hit = false;
-    jplan = plan_cache_->Get(vq, vars, xkg_, options_.use_cost_order,
-                             &cache_hit);
-    // Attributed per call, not via cache-global deltas, so concurrent
-    // Answer runs on one processor never report each other's counters.
-    if (cache_hit) {
-      ++result->stats.plan_cache_hits;
-    } else {
-      ++result->stats.plan_cache_misses;
-    }
+  bool cache_hit = false;
+  std::shared_ptr<const plan::JoinPlan> jplan =
+      plan_cache_->Get(vq, vars, xkg_, options_.use_cost_order, &cache_hit);
+  // Attributed per call, not via cache-global deltas, so concurrent
+  // Answer runs on one processor never report each other's counters.
+  if (cache_hit) {
+    ++result->stats.plan_cache_hits;
+  } else {
+    ++result->stats.plan_cache_misses;
   }
 
   std::vector<std::unique_ptr<BindingStream>> streams;
   std::vector<RelaxedStream*> relaxed;  // borrowed, for stats
   for (size_t pos = 0; pos < vq.patterns().size(); ++pos) {
-    const size_t i = jplan != nullptr ? jplan->order[pos] : pos;
+    const size_t i = jplan->order[pos];
     if (options_.enable_relaxation && !options_.exhaustive) {
       std::vector<Alternative> alts =
           AlternativesForPattern(pattern_rewriter, vq.patterns()[i]);
@@ -155,7 +151,7 @@ void TopKProcessor::EvaluateVariant(
   result->stats.partition_probes += engine.stats().partition_probes;
   result->stats.partition_fallbacks += engine.stats().partition_fallbacks;
   result->stats.deadline_hit |= engine.stats().deadline_hit;
-  if (jplan != nullptr && result->plan.empty()) {
+  if (result->plan.empty()) {
     // First evaluated variant: record the chosen order with estimated
     // vs. actual per-pattern cardinalities for the trace.
     const std::vector<size_t>& pulled = engine.stats().per_stream_pulled;

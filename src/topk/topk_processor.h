@@ -39,10 +39,9 @@ struct TopKResult {
     size_t pulled = 0;         ///< items the stream actually delivered
   };
   /// Execution-ordered plan of the first evaluated variant (the
-  /// original query). Populated whenever a plan was compiled — cost
-  /// ordering on, or hash probing (the default) needing signatures;
-  /// with `use_cost_order == false` the order shown is the parser's.
-  /// Empty only when both cost ordering and hash probing are off.
+  /// original query). Every variant runs under a compiled plan, so this
+  /// is filled whenever a variant was evaluated; with
+  /// `use_cost_order == false` the order shown is the parser's.
   std::vector<PlanStep> plan;
 
   struct RunStats {
@@ -80,11 +79,11 @@ struct ProcessorOptions {
   /// (e.g. Figure 4 rule 1); per-pattern rules are unlimited-by-count
   /// and bounded by weight instead.
   size_t max_query_variants = 24;
-  /// Compile a cost-ordered `plan::JoinPlan` per variant structure and
-  /// build the streams in plan order (selective patterns first,
-  /// hash-partitioned seen state). False keeps the parser's pattern
-  /// order and — combined with `JoinEngine::ProbeMode::kLinear` — the
-  /// seed's linear probing, the bench_p2 comparators.
+  /// Order each variant's `plan::JoinPlan` by cost and build the
+  /// streams in that order (selective patterns first). False keeps the
+  /// parser's pattern order; the plan still carries the join-key
+  /// signatures, so probing stays hash-partitioned either way (the
+  /// bench_p2 `parser` comparator).
   bool use_cost_order = true;
   /// Wall-clock budget for one `Answer` call, in milliseconds; <= 0
   /// means unlimited. On expiry the processor stops pulling work and

@@ -32,28 +32,31 @@ TEST(FromXkgTest, ReseedPreservesEverything) {
 TEST(ExtendKgTest, NewFactsBecomeQueryable) {
   auto engine = Trinit::Open(testing::BuildPaperXkg());
   ASSERT_TRUE(engine.ok());
-  auto before = engine->Query("MarieCurie bornIn ?x", 5);
+  auto before =
+      engine->Execute(QueryRequest::Text("MarieCurie bornIn ?x", 5));
   ASSERT_TRUE(before.ok());
-  EXPECT_TRUE(before->answers.empty());
+  EXPECT_TRUE(before->result().answers.empty());
 
   ASSERT_TRUE(engine
                   ->ExtendKg("MarieCurie bornIn Warsaw\n"
                              "Warsaw locatedIn Poland\n")
                   .ok());
-  auto after = engine->Query("MarieCurie bornIn ?x", 5);
+  auto after =
+      engine->Execute(QueryRequest::Text("MarieCurie bornIn ?x", 5));
   ASSERT_TRUE(after.ok());
-  ASSERT_EQ(after->answers.size(), 1u);
-  EXPECT_EQ(engine->RenderAnswer(*after, 0), "?x = Warsaw");
+  ASSERT_EQ(after->result().answers.size(), 1u);
+  EXPECT_EQ(engine->RenderAnswer(after->result(), 0), "?x = Warsaw");
 }
 
 TEST(ExtendKgTest, ExistingAnswersSurviveRebuild) {
   auto engine = Trinit::Open(testing::BuildPaperXkg());
   ASSERT_TRUE(engine.ok());
   ASSERT_TRUE(engine->ExtendKg("MarieCurie bornIn Warsaw\n").ok());
-  auto result = engine->Query("AlbertEinstein 'won nobel for' ?x", 5);
+  auto result = engine->Execute(
+      QueryRequest::Text("AlbertEinstein 'won nobel for' ?x", 5));
   ASSERT_TRUE(result.ok());
-  ASSERT_FALSE(result->answers.empty());
-  EXPECT_EQ(engine->RenderAnswer(*result, 0),
+  ASSERT_FALSE(result->result().answers.empty());
+  EXPECT_EQ(engine->RenderAnswer(result->result(), 0),
             "?x = 'discovery of the photoelectric effect'");
 }
 
@@ -66,14 +69,15 @@ TEST(ExtendKgTest, RulesStillFireAfterRebuild) {
                                "Warsaw locatedIn Poland\n")
                   .ok());
   // User A's geo relaxation still works, now also for the new entity.
-  auto einstein = engine->Query("?x bornIn Germany", 5);
+  auto einstein = engine->Execute(QueryRequest::Text("?x bornIn Germany", 5));
   ASSERT_TRUE(einstein.ok());
-  ASSERT_FALSE(einstein->answers.empty());
-  EXPECT_EQ(engine->RenderAnswer(*einstein, 0), "?x = AlbertEinstein");
-  auto curie = engine->Query("?x bornIn Poland", 5);
+  ASSERT_FALSE(einstein->result().answers.empty());
+  EXPECT_EQ(engine->RenderAnswer(einstein->result(), 0),
+            "?x = AlbertEinstein");
+  auto curie = engine->Execute(QueryRequest::Text("?x bornIn Poland", 5));
   ASSERT_TRUE(curie.ok());
-  ASSERT_FALSE(curie->answers.empty());
-  EXPECT_EQ(engine->RenderAnswer(*curie, 0), "?x = MarieCurie");
+  ASSERT_FALSE(curie->result().answers.empty());
+  EXPECT_EQ(engine->RenderAnswer(curie->result(), 0), "?x = MarieCurie");
 }
 
 TEST(ExtendKgTest, TokenFactsAllowed) {
@@ -82,10 +86,12 @@ TEST(ExtendKgTest, TokenFactsAllowed) {
   ASSERT_TRUE(
       engine->ExtendKg("MarieCurie 'pioneered research on' 'radioactivity'\n")
           .ok());
-  auto result = engine->Query("MarieCurie 'pioneered research on' ?x", 5);
+  auto result = engine->Execute(
+      QueryRequest::Text("MarieCurie 'pioneered research on' ?x", 5));
   ASSERT_TRUE(result.ok());
-  ASSERT_EQ(result->answers.size(), 1u);
-  EXPECT_EQ(engine->RenderAnswer(*result, 0), "?x = 'radioactivity'");
+  ASSERT_EQ(result->result().answers.size(), 1u);
+  EXPECT_EQ(engine->RenderAnswer(result->result(), 0),
+            "?x = 'radioactivity'");
 }
 
 TEST(ExtendKgTest, AutocompleteSeesNewVocabulary) {

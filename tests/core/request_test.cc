@@ -105,11 +105,11 @@ TEST(RequestTest, RelaxationOverrideMatchesEngineBuiltWithoutRelaxation) {
     QueryRequest off = QueryRequest::Text(text, 5);
     off.enable_relaxation = false;
     auto overridden = engine->Execute(off);
-    auto reference = no_relax_engine->Query(text, 5);
+    auto reference = no_relax_engine->Execute(QueryRequest::Text(text, 5));
     ASSERT_TRUE(overridden.ok()) << text;
     ASSERT_TRUE(reference.ok()) << text;
     EXPECT_EQ(Rendered(*engine, overridden->result()),
-              Rendered(*no_relax_engine, *reference))
+              Rendered(*no_relax_engine, reference->result()))
         << text;
     EXPECT_FALSE(overridden->effective_processor.enable_relaxation);
 
@@ -140,14 +140,15 @@ TEST(RequestTest, ScorerOverrideMatchesEngineBuiltWithThatScorer) {
       QueryRequest::Text("AlbertEinstein 'won nobel for' ?x", 5);
   request.scorer = no_confidence;
   auto overridden = engine->Execute(request);
-  auto reference =
-      reference_engine->Query("AlbertEinstein 'won nobel for' ?x", 5);
+  auto reference = reference_engine->Execute(
+      QueryRequest::Text("AlbertEinstein 'won nobel for' ?x", 5));
   ASSERT_TRUE(overridden.ok());
   ASSERT_TRUE(reference.ok());
-  ASSERT_EQ(overridden->result().answers.size(), reference->answers.size());
-  for (size_t i = 0; i < reference->answers.size(); ++i) {
+  ASSERT_EQ(overridden->result().answers.size(),
+            reference->result().answers.size());
+  for (size_t i = 0; i < reference->result().answers.size(); ++i) {
     EXPECT_DOUBLE_EQ(overridden->result().answers[i].score,
-                     reference->answers[i].score);
+                     reference->result().answers[i].score);
   }
   EXPECT_EQ(overridden->effective_scorer, no_confidence);
 }

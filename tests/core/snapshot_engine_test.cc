@@ -243,12 +243,12 @@ TEST(SnapshotEngineTest, MutationsKeepWorkingAfterLoad) {
   auto loaded = Trinit::Open(path);
   ASSERT_TRUE(loaded.ok());
 
-  auto before = loaded->Query("?x bornIn Ulm", 5);
+  auto before = loaded->Execute(QueryRequest::Text("?x bornIn Ulm", 5));
   ASSERT_TRUE(before.ok());
   ASSERT_TRUE(loaded->ExtendKg("ElsaEinstein bornIn Ulm").ok());
-  auto after = loaded->Query("?x bornIn Ulm", 5);
+  auto after = loaded->Execute(QueryRequest::Text("?x bornIn Ulm", 5));
   ASSERT_TRUE(after.ok());
-  EXPECT_GT(after->answers.size(), before->answers.size());
+  EXPECT_GT(after->result().answers.size(), before->result().answers.size());
 }
 
 TEST(SnapshotEngineTest, CopyLoadSurvivesInPlaceRewriteOfTheFile) {

@@ -28,10 +28,11 @@ synth::World SmallWorld(uint64_t seed = 21) {
 TEST(TrinitTest, OpenOverPaperWorldAnswersUserD) {
   auto engine = Trinit::Open(testing::BuildPaperXkg());
   ASSERT_TRUE(engine.ok()) << engine.status();
-  auto result = engine->Query("AlbertEinstein 'won nobel for' ?x", 5);
+  auto result = engine->Execute(
+      QueryRequest::Text("AlbertEinstein 'won nobel for' ?x", 5));
   ASSERT_TRUE(result.ok()) << result.status();
-  ASSERT_FALSE(result->answers.empty());
-  EXPECT_EQ(engine->RenderAnswer(*result, 0),
+  ASSERT_FALSE(result->result().answers.empty());
+  EXPECT_EQ(engine->RenderAnswer(result->result(), 0),
             "?x = 'discovery of the photoelectric effect'");
 }
 
@@ -40,15 +41,17 @@ TEST(TrinitTest, ManualRulesEnableUserB) {
   ASSERT_TRUE(engine.ok());
   // Without rule 2, no answer (the paper world is too small for the
   // miners to find the inversion).
-  auto before = engine->Query("AlbertEinstein hasAdvisor ?x", 5);
+  auto before = engine->Execute(
+      QueryRequest::Text("AlbertEinstein hasAdvisor ?x", 5));
   ASSERT_TRUE(before.ok());
-  EXPECT_TRUE(before->answers.empty());
+  EXPECT_TRUE(before->result().answers.empty());
 
   ASSERT_TRUE(engine->AddManualRules(testing::kPaperRulesText).ok());
-  auto after = engine->Query("AlbertEinstein hasAdvisor ?x", 5);
+  auto after = engine->Execute(
+      QueryRequest::Text("AlbertEinstein hasAdvisor ?x", 5));
   ASSERT_TRUE(after.ok());
-  ASSERT_FALSE(after->answers.empty());
-  EXPECT_EQ(engine->RenderAnswer(*after, 0), "?x = AlfredKleiner");
+  ASSERT_FALSE(after->result().answers.empty());
+  EXPECT_EQ(engine->RenderAnswer(after->result(), 0), "?x = AlfredKleiner");
 }
 
 TEST(TrinitTest, ExplainAndSuggestWork) {
@@ -60,14 +63,14 @@ TEST(TrinitTest, ExplainAndSuggestWork) {
       "IvyLeague",
       &engine->xkg().dict());
   ASSERT_TRUE(q.ok());
-  auto result = engine->Answer(*q, 5);
+  auto result = engine->Execute(QueryRequest::Parsed(*q, 5));
   ASSERT_TRUE(result.ok());
-  ASSERT_FALSE(result->answers.empty());
+  ASSERT_FALSE(result->result().answers.empty());
 
-  explain::Explanation ex = engine->Explain(*result, 0);
+  explain::Explanation ex = engine->Explain(result->result(), 0);
   EXPECT_NE(ex.ToString().find("PrincetonUniversity"), std::string::npos);
 
-  auto suggestions = engine->Suggest(*q, *result);
+  auto suggestions = engine->Suggest(*q, result->result());
   EXPECT_FALSE(suggestions.empty());  // at least the rule feedback
 }
 
@@ -148,7 +151,8 @@ TEST(TrinitTest, PerRequestOverridesServeMixedWorkloadsFromOneEngine) {
 
   auto relaxed_response = engine->Execute(relaxed);
   auto strict_response = engine->Execute(strict);
-  auto strict_reference = strict_engine->Query("?x bornIn Germany", 3);
+  auto strict_reference =
+      strict_engine->Execute(QueryRequest::Text("?x bornIn Germany", 3));
   ASSERT_TRUE(relaxed_response.ok());
   ASSERT_TRUE(strict_response.ok());
   ASSERT_TRUE(strict_reference.ok());
@@ -158,7 +162,7 @@ TEST(TrinitTest, PerRequestOverridesServeMixedWorkloadsFromOneEngine) {
   EXPECT_EQ(engine->RenderAnswer(relaxed_response->result(), 0),
             "?x = AlbertEinstein");
   EXPECT_EQ(strict_response->result().answers.size(),
-            strict_reference->answers.size());
+            strict_reference->result().answers.size());
   EXPECT_TRUE(strict_response->result().answers.empty());
   EXPECT_LE(relaxed_response->result().answers.size(), 3u);
 }
@@ -166,7 +170,7 @@ TEST(TrinitTest, PerRequestOverridesServeMixedWorkloadsFromOneEngine) {
 TEST(TrinitTest, QueryParseErrorsPropagate) {
   auto engine = Trinit::Open(testing::BuildPaperXkg());
   ASSERT_TRUE(engine.ok());
-  auto result = engine->Query("?x bornIn", 5);
+  auto result = engine->Execute(QueryRequest::Text("?x bornIn", 5));
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kParseError);
 }

@@ -61,23 +61,25 @@ TEST(EndToEndTest, XkgSurvivesTsvRoundTripWithIdenticalAnswers) {
   const auto& unis = world.OfClass(synth::EntityClass::kUniversity);
   for (size_t i = 0; i < 3 && i < unis.size(); ++i) {
     std::string text = "?x 'works at' " + world.entities[unis[i]].name;
-    auto a = original->Query(text, 5);
-    auto b = reloaded->Query(text, 5);
+    auto a = original->Execute(core::QueryRequest::Text(text, 5));
+    auto b = reloaded->Execute(core::QueryRequest::Text(text, 5));
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
-    ASSERT_EQ(a->answers.size(), b->answers.size()) << text;
+    const topk::TopKResult& ra = a->result();
+    const topk::TopKResult& rb = b->result();
+    ASSERT_EQ(ra.answers.size(), rb.answers.size()) << text;
     // Ties at the k-th score may resolve differently after reload
     // (dictionary ids change); compare scores rank-by-rank, and labels
     // only for answers strictly above the cutoff.
-    double cutoff = a->answers.empty() ? 0.0 : a->answers.back().score;
+    double cutoff = ra.answers.empty() ? 0.0 : ra.answers.back().score;
     std::multiset<std::string> labels_a, labels_b;
-    for (size_t r = 0; r < a->answers.size(); ++r) {
-      EXPECT_NEAR(a->answers[r].score, b->answers[r].score, 1e-4);
-      if (a->answers[r].score > cutoff + 1e-4) {
-        labels_a.insert(original->RenderAnswer(*a, r));
+    for (size_t r = 0; r < ra.answers.size(); ++r) {
+      EXPECT_NEAR(ra.answers[r].score, rb.answers[r].score, 1e-4);
+      if (ra.answers[r].score > cutoff + 1e-4) {
+        labels_a.insert(original->RenderAnswer(ra, r));
       }
-      if (b->answers[r].score > cutoff + 1e-4) {
-        labels_b.insert(reloaded->RenderAnswer(*b, r));
+      if (rb.answers[r].score > cutoff + 1e-4) {
+        labels_b.insert(reloaded->RenderAnswer(rb, r));
       }
     }
     EXPECT_EQ(labels_a, labels_b) << text;
@@ -106,14 +108,15 @@ TEST(EndToEndTest, ExtractorNoiseDegradesButDoesNotBreak) {
   ASSERT_TRUE(engine.ok());
   // Queries still answer; scores remain finite and ordered.
   const auto& persons = world.OfClass(synth::EntityClass::kPerson);
-  auto result = engine->Query(world.entities[persons[0]].name + " ?p ?o",
-                              10);
-  ASSERT_TRUE(result.ok());
+  auto response = engine->Execute(core::QueryRequest::Text(
+      world.entities[persons[0]].name + " ?p ?o", 10));
+  ASSERT_TRUE(response.ok());
+  const std::vector<topk::Answer>& answers = response->result().answers;
   double prev = 0.0;
-  for (size_t i = 0; i < result->answers.size(); ++i) {
-    EXPECT_TRUE(std::isfinite(result->answers[i].score));
-    if (i > 0) EXPECT_LE(result->answers[i].score, prev + 1e-9);
-    prev = result->answers[i].score;
+  for (size_t i = 0; i < answers.size(); ++i) {
+    EXPECT_TRUE(std::isfinite(answers[i].score));
+    if (i > 0) EXPECT_LE(answers[i].score, prev + 1e-9);
+    prev = answers[i].score;
   }
 }
 
@@ -133,7 +136,8 @@ TEST(EndToEndTest, BrokenLinkerLeavesTokensNotCrashes) {
   // builds and token queries still work.
   auto engine = core::Trinit::Open(std::move(xkg).value());
   ASSERT_TRUE(engine.ok());
-  auto result = engine->Query("?x 'works at' ?y", 5);
+  auto result =
+      engine->Execute(core::QueryRequest::Text("?x 'works at' ?y", 5));
   ASSERT_TRUE(result.ok());
 }
 
@@ -159,7 +163,7 @@ TEST(EndToEndTest, ParaphraseOperatorLiftsRecallWithoutMining) {
   }
   ASSERT_NE(held, nullptr);
   std::string text = world.entities[held->subject].name + " wonPrize ?x";
-  auto before = engine->Query(text, 5);
+  auto before = engine->Execute(core::QueryRequest::Text(text, 5));
   ASSERT_TRUE(before.ok());
 
   auto op = relax::ParaphraseOperator::FromText(
@@ -167,9 +171,9 @@ TEST(EndToEndTest, ParaphraseOperatorLiftsRecallWithoutMining) {
   ASSERT_TRUE(op.ok());
   ASSERT_TRUE(engine->RunOperator(*op).ok());
   EXPECT_GT(engine->rules().size(), 0u);
-  auto after = engine->Query(text, 5);
+  auto after = engine->Execute(core::QueryRequest::Text(text, 5));
   ASSERT_TRUE(after.ok());
-  EXPECT_GE(after->answers.size(), before->answers.size());
+  EXPECT_GE(after->result().answers.size(), before->result().answers.size());
 }
 
 TEST(EndToEndTest, DeterministicAcrossFullPipeline) {
@@ -180,13 +184,15 @@ TEST(EndToEndTest, DeterministicAcrossFullPipeline) {
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->xkg().store().size(), b->xkg().store().size());
   EXPECT_EQ(a->rules().size(), b->rules().size());
-  auto qa = a->Query("?x 'was born in' ?y", 10);
-  auto qb = b->Query("?x 'was born in' ?y", 10);
+  auto qa = a->Execute(core::QueryRequest::Text("?x 'was born in' ?y", 10));
+  auto qb = b->Execute(core::QueryRequest::Text("?x 'was born in' ?y", 10));
   ASSERT_TRUE(qa.ok());
   ASSERT_TRUE(qb.ok());
-  ASSERT_EQ(qa->answers.size(), qb->answers.size());
-  for (size_t i = 0; i < qa->answers.size(); ++i) {
-    EXPECT_NEAR(qa->answers[i].score, qb->answers[i].score, 1e-12);
+  const std::vector<topk::Answer>& answers_a = qa->result().answers;
+  const std::vector<topk::Answer>& answers_b = qb->result().answers;
+  ASSERT_EQ(answers_a.size(), answers_b.size());
+  for (size_t i = 0; i < answers_a.size(); ++i) {
+    EXPECT_NEAR(answers_a[i].score, answers_b[i].score, 1e-12);
   }
 }
 

@@ -1,7 +1,8 @@
 // Property tests for the hash-partitioned rank-join: partitioned
 // probing must be a pure pre-filter — identical answers, scores, and
-// termination behavior to the seed's linear seen-scan — and the
-// compiled plan's pattern order must be invisible in the answer set.
+// termination behavior to the plan-less linear seen-scan — every pull
+// must take the highest stream head, and the compiled plan's pattern
+// order must be invisible in the answer set.
 
 #include <gtest/gtest.h>
 
@@ -14,9 +15,11 @@
 
 #include "plan/planner.h"
 #include "query/parser.h"
+#include "relax/rewriter.h"
 #include "testing/paper_world.h"
 #include "topk/exhaustive_processor.h"
 #include "topk/join_engine.h"
+#include "topk/relaxed_stream.h"
 #include "topk/topk_processor.h"
 #include "util/random.h"
 
@@ -41,10 +44,50 @@ class ScriptedStream : public BindingStream {
   size_t next_ = 0;
 };
 
+// Every stream of one JoinEngine run, so a `RecordingStream` can check
+// each pull against its siblings' heads.
+struct PullLog {
+  std::vector<BindingStream*> streams;  // the wrapped streams, by index
+  size_t pulls = 0;
+  size_t violations = 0;
+};
+
+// Passes through to `inner` and, at every Pop, checks that the engine
+// pulled a maximal head: no sibling's head scores higher, and a sibling
+// with an equal head has a higher index (ties go to the lowest index).
+class RecordingStream : public BindingStream {
+ public:
+  RecordingStream(std::unique_ptr<BindingStream> inner, size_t index,
+                  PullLog* log)
+      : inner_(std::move(inner)), index_(index), log_(log) {}
+
+  const Item* Peek() override { return inner_->Peek(); }
+  void Pop() override {
+    const Item* head = inner_->Peek();
+    if (head == nullptr) ++log_->violations;  // popped an exhausted stream
+    for (size_t j = 0; head != nullptr && j < log_->streams.size(); ++j) {
+      const Item* other = j == index_ ? nullptr : log_->streams[j]->Peek();
+      if (other == nullptr) continue;
+      const bool ok = j < index_ ? other->log_score < head->log_score
+                                 : other->log_score <= head->log_score;
+      if (!ok) ++log_->violations;
+    }
+    ++log_->pulls;
+    inner_->Pop();
+  }
+  double BestPossible() override { return inner_->BestPossible(); }
+  Stats DecodeStats() const override { return inner_->DecodeStats(); }
+
+ private:
+  std::unique_ptr<BindingStream> inner_;
+  size_t index_;
+  PullLog* log_;
+};
+
 // ---------------------------------------------------------------------
-// Randomized JoinEngine equivalence: same streams, same options, only
-// the probe mode (and plan) differ. Everything observable must match,
-// and hash probing must never examine more candidates.
+// Randomized JoinEngine equivalence: same streams, same options, with
+// and without a plan. Everything observable must match, and hash
+// probing must never examine more candidates in aggregate.
 // ---------------------------------------------------------------------
 
 struct RandomSetup {
@@ -142,17 +185,23 @@ struct RunOutcome {
   JoinEngine::Stats stats;
 };
 
+// Runs the setup's streams through one engine; with `log` set, every
+// stream is wrapped in a `RecordingStream` reporting into it.
 RunOutcome RunEngine(const RandomSetup& setup, const query::VarTable& vars,
-                     JoinEngine::ProbeMode mode,
                      std::shared_ptr<const plan::JoinPlan> plan,
-                     JoinEngine::PullMode pull = JoinEngine::PullMode::kHeap) {
+                     PullLog* log = nullptr) {
   std::vector<std::unique_ptr<BindingStream>> streams;
   for (const auto& items : setup.items) {
-    streams.push_back(std::make_unique<ScriptedStream>(items));
+    std::unique_ptr<BindingStream> stream =
+        std::make_unique<ScriptedStream>(items);
+    if (log != nullptr) {
+      log->streams.push_back(stream.get());
+      stream = std::make_unique<RecordingStream>(
+          std::move(stream), log->streams.size() - 1, log);
+    }
+    streams.push_back(std::move(stream));
   }
   JoinEngine::Options options = setup.options;
-  options.probe_mode = mode;
-  options.pull_mode = pull;
   options.plan = std::move(plan);
   JoinEngine engine(std::move(streams), vars, setup.projection, options);
   RunOutcome outcome;
@@ -173,10 +222,9 @@ TEST(JoinEnginePropertyTest, HashPartitionedMatchesLinearProbing) {
   size_t hashed_tried = 0, linear_tried = 0;
   for (int round = 0; round < 300; ++round) {
     RandomSetup setup = MakeSetup(rng);
-    RunOutcome linear =
-        RunEngine(setup, vars, JoinEngine::ProbeMode::kLinear, nullptr);
-    RunOutcome hashed = RunEngine(
-        setup, vars, JoinEngine::ProbeMode::kHashPartition, PlanFor(setup));
+    // No plan: every pair is a cross product, scanned in full.
+    RunOutcome linear = RunEngine(setup, vars, nullptr);
+    RunOutcome hashed = RunEngine(setup, vars, PlanFor(setup));
 
     ASSERT_EQ(hashed.answers.size(), linear.answers.size())
         << "round " << round;
@@ -196,16 +244,15 @@ TEST(JoinEnginePropertyTest, HashPartitionedMatchesLinearProbing) {
   }
   // The partitions narrow the probe. Per round the connectivity-aware
   // visitation order can occasionally explore a different (rarely
-  // larger) prefix tree than the seed's fixed order, so the work bound
-  // is asserted in aggregate.
+  // larger) prefix tree than the plan-less index order, so the work
+  // bound is asserted in aggregate.
   EXPECT_LE(hashed_tried, linear_tried);
 }
 
 // ---------------------------------------------------------------------
-// Pull-selection determinism: the lazy max-heap over head scores must
-// choose the exact same stream sequence as the seed's linear
-// highest-head scan (ties break by stream index in both), so answers,
-// total pulls, and the per-stream pull distribution all coincide.
+// Pull selection: the engine's lazy max-heap over head scores must take,
+// at every pull, the stream with the highest head, the lowest index
+// among equal heads — the choice a linear highest-head scan makes.
 // ---------------------------------------------------------------------
 
 TEST(JoinEnginePropertyTest, HeapPullMatchesLinearHighestHeadScan) {
@@ -213,26 +260,24 @@ TEST(JoinEnginePropertyTest, HeapPullMatchesLinearHighestHeadScan) {
   Rng rng(17);
   for (int round = 0; round < 300; ++round) {
     RandomSetup setup = MakeSetup(rng);
-    RunOutcome linear = RunEngine(setup, vars, JoinEngine::ProbeMode::kLinear,
-                                  nullptr, JoinEngine::PullMode::kLinear);
-    RunOutcome heap = RunEngine(setup, vars, JoinEngine::ProbeMode::kLinear,
-                                nullptr, JoinEngine::PullMode::kHeap);
-
-    ASSERT_EQ(heap.answers.size(), linear.answers.size()) << "round "
-                                                          << round;
-    for (size_t i = 0; i < heap.answers.size(); ++i) {
-      EXPECT_EQ(heap.answers[i].first, linear.answers[i].first)
-          << "round " << round << " answer " << i;
-      EXPECT_NEAR(heap.answers[i].second, linear.answers[i].second, 1e-12);
+    // Round scores down to a coarse grid: heads stay non-increasing per
+    // stream, and equal heads across streams test the tie-break.
+    for (auto& items : setup.items) {
+      for (BindingStream::Item& item : items) {
+        item.log_score = std::floor(item.log_score * 2.0) / 2.0;
+        item.step.log_score = item.log_score;
+      }
     }
-    EXPECT_EQ(heap.stats.items_pulled, linear.stats.items_pulled)
-        << "round " << round;
-    EXPECT_EQ(heap.stats.per_stream_pulled, linear.stats.per_stream_pulled)
-        << "round " << round;
-    EXPECT_EQ(heap.stats.early_terminated, linear.stats.early_terminated)
-        << "round " << round;
-    EXPECT_EQ(heap.stats.combinations_emitted,
-              linear.stats.combinations_emitted)
+    PullLog log;
+    RunOutcome recorded = RunEngine(setup, vars, PlanFor(setup), &log);
+    RunOutcome plain = RunEngine(setup, vars, PlanFor(setup));
+
+    EXPECT_EQ(log.violations, 0u) << "round " << round;
+    EXPECT_EQ(log.pulls, recorded.stats.items_pulled) << "round " << round;
+    // Recording only observes: the run it watched is the plain run.
+    EXPECT_EQ(recorded.answers, plain.answers) << "round " << round;
+    EXPECT_EQ(recorded.stats.per_stream_pulled,
+              plain.stats.per_stream_pulled)
         << "round " << round;
   }
 }
@@ -247,16 +292,12 @@ class PlanEquivalenceTest : public ::testing::Test {
   PlanEquivalenceTest()
       : xkg_(testing::BuildPaperXkg()), rules_(testing::BuildPaperRules()) {}
 
-  TopKResult Run(const std::string& text, bool cost_order,
-                 JoinEngine::ProbeMode mode, int k = 10,
-                 JoinEngine::PullMode pull = JoinEngine::PullMode::kHeap) {
+  TopKResult Run(const std::string& text, bool cost_order, int k = 10) {
     auto q = query::Parser::Parse(text, &xkg_.dict());
     EXPECT_TRUE(q.ok()) << q.status();
     ProcessorOptions opts;
     opts.k = k;
     opts.use_cost_order = cost_order;
-    opts.join.probe_mode = mode;
-    opts.join.pull_mode = pull;
     TopKProcessor processor(xkg_, rules_, {}, opts);
     auto r = processor.Answer(*q);
     EXPECT_TRUE(r.ok()) << r.status();
@@ -283,7 +324,7 @@ class PlanEquivalenceTest : public ::testing::Test {
   relax::RuleSet rules_;
 };
 
-TEST_F(PlanEquivalenceTest, PlannedHashMatchesSeedLinearAcrossQueries) {
+TEST_F(PlanEquivalenceTest, PlannedMatchesParserOrderAndExhaustive) {
   const char* queries[] = {
       "?x bornIn Germany",
       "AlbertEinstein hasAdvisor ?x",
@@ -293,35 +334,74 @@ TEST_F(PlanEquivalenceTest, PlannedHashMatchesSeedLinearAcrossQueries) {
       "SELECT ?x WHERE ?c ?p ?o ; ?x bornIn ?c ; ?c locatedIn Germany",
       "?x 'won nobel for' ?y",
   };
+  ProcessorOptions opts;
+  opts.k = 10;
+  ExhaustiveProcessor exhaustive(xkg_, rules_, {}, opts);
   for (const char* text : queries) {
-    TopKResult planned =
-        Run(text, /*cost_order=*/true, JoinEngine::ProbeMode::kHashPartition);
-    TopKResult seed =
-        Run(text, /*cost_order=*/false, JoinEngine::ProbeMode::kLinear);
-    EXPECT_EQ(Rendered(planned), Rendered(seed)) << text;
+    TopKResult planned = Run(text, /*cost_order=*/true);
+    TopKResult parser = Run(text, /*cost_order=*/false);
+    EXPECT_EQ(Rendered(planned), Rendered(parser)) << text;
+
+    // The exhaustive reference explores the whole rewrite space with no
+    // early termination; tied bindings may differ, the score sequence
+    // may not.
+    auto q = query::Parser::Parse(text, &xkg_.dict());
+    ASSERT_TRUE(q.ok());
+    auto full = exhaustive.Answer(*q);
+    ASSERT_TRUE(full.ok());
+    ASSERT_EQ(planned.answers.size(), full->answers.size()) << text;
+    for (size_t i = 0; i < planned.answers.size(); ++i) {
+      EXPECT_NEAR(planned.answers[i].score, full->answers[i].score, 1e-9)
+          << text << " rank " << i;
+    }
   }
 }
 
-TEST_F(PlanEquivalenceTest, HeapPullMatchesLinearThroughFullProcessor) {
-  // End to end — relaxed streams, variants, lazy decode — the pull-mode
-  // switch must be invisible: identical ranked answers and identical
-  // pull counts (the heap picks the same stream every round, it just
-  // stops re-peeking the others).
+TEST_F(PlanEquivalenceTest, HeapPullTakesHighestHeadOverRelaxedStreams) {
+  // The same pull invariant as above, over the production stream type:
+  // lazily opened relaxations, soft token matches, and a compiled plan.
   const char* queries[] = {
       "?x bornIn Germany",
       "SELECT ?x WHERE ?x bornIn ?c ; ?c locatedIn Germany",
       "SELECT ?x WHERE ?c ?p ?o ; ?x bornIn ?c ; ?c locatedIn Germany",
       "?x 'won nobel for' ?y",
   };
+  scoring::LmScorer scorer(xkg_, {});
+  relax::Rewriter rewriter(rules_);
   for (const char* text : queries) {
-    TopKResult heap = Run(text, /*cost_order=*/true,
-                          JoinEngine::ProbeMode::kHashPartition, /*k=*/10,
-                          JoinEngine::PullMode::kHeap);
-    TopKResult linear = Run(text, /*cost_order=*/true,
-                            JoinEngine::ProbeMode::kHashPartition, /*k=*/10,
-                            JoinEngine::PullMode::kLinear);
-    EXPECT_EQ(Rendered(heap), Rendered(linear)) << text;
-    EXPECT_EQ(heap.stats.items_pulled, linear.stats.items_pulled) << text;
+    auto parsed = query::Parser::Parse(text, &xkg_.dict());
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    query::Query q(parsed->patterns(), parsed->EffectiveProjection());
+    q.ResolveAgainst(xkg_.dict());
+    query::VarTable vars(q);
+    std::shared_ptr<const plan::JoinPlan> plan =
+        plan::Planner::Compile(q, vars, xkg_);
+
+    PullLog log;
+    std::vector<std::unique_ptr<BindingStream>> streams;
+    for (size_t pos = 0; pos < q.patterns().size(); ++pos) {
+      const size_t i = plan->order[pos];
+      auto stream = std::make_unique<RelaxedStream>(
+          xkg_, scorer, vars, AlternativesForPattern(rewriter, q.patterns()[i]),
+          i);
+      log.streams.push_back(stream.get());
+      streams.push_back(
+          std::make_unique<RecordingStream>(std::move(stream), pos, &log));
+    }
+    std::vector<query::VarId> projection;
+    for (const std::string& name : q.projection()) {
+      projection.push_back(*vars.Find(name));
+    }
+    JoinEngine::Options options;
+    options.k = 10;
+    options.plan = plan;
+    JoinEngine engine(std::move(streams), vars, projection, options);
+    std::vector<Answer> answers = engine.Run();
+
+    EXPECT_FALSE(answers.empty()) << text;
+    EXPECT_GT(log.pulls, 0u) << text;
+    EXPECT_EQ(log.pulls, engine.stats().items_pulled) << text;
+    EXPECT_EQ(log.violations, 0u) << text;
   }
 }
 
@@ -337,8 +417,7 @@ TEST_F(PlanEquivalenceTest, AnswerSetIsPatternOrderInvariant) {
     std::string text = "SELECT ?x WHERE " + patterns[0] + " ; " +
                        patterns[1] + " ; " + patterns[2];
     for (bool cost_order : {true, false}) {
-      TopKResult result =
-          Run(text, cost_order, JoinEngine::ProbeMode::kHashPartition);
+      TopKResult result = Run(text, cost_order);
       EXPECT_FALSE(result.answers.empty()) << text;
       rendered.push_back(Rendered(result));
     }
@@ -351,7 +430,7 @@ TEST_F(PlanEquivalenceTest, AnswerSetIsPatternOrderInvariant) {
 TEST_F(PlanEquivalenceTest, PlanReportRecordsOrderAndCardinalities) {
   TopKResult result =
       Run("SELECT ?x WHERE ?c ?p ?o ; ?x bornIn ?c ; ?c locatedIn Germany",
-          /*cost_order=*/true, JoinEngine::ProbeMode::kHashPartition);
+          /*cost_order=*/true);
   ASSERT_EQ(result.plan.size(), 3u);
   // The wildcard pattern (original index 0) must not run first.
   EXPECT_NE(result.plan[0].pattern, 0u);
@@ -367,7 +446,7 @@ TEST_F(PlanEquivalenceTest, DerivationsStayInOriginalPatternOrder) {
   // stay in original pattern order.
   TopKResult result =
       Run("SELECT ?x WHERE ?c ?p ?o ; ?x bornIn ?c ; ?c locatedIn Germany",
-          /*cost_order=*/true, JoinEngine::ProbeMode::kHashPartition);
+          /*cost_order=*/true);
   ASSERT_FALSE(result.answers.empty());
   ASSERT_EQ(result.plan.size(), 3u);
   EXPECT_NE(result.plan[0].pattern, 0u);  // execution really reordered
@@ -383,8 +462,7 @@ TEST_F(PlanEquivalenceTest, EarlyTerminationStillSavesPullsUnderPlan) {
   // The threshold cutoff must survive the refactor: the incremental
   // processor still pulls strictly less than the exhaustive drain.
   const char* text = "?s ?p ?o";
-  TopKResult lazy = Run(text, /*cost_order=*/true,
-                        JoinEngine::ProbeMode::kHashPartition, /*k=*/2);
+  TopKResult lazy = Run(text, /*cost_order=*/true, /*k=*/2);
   ProcessorOptions opts;
   opts.k = 2;
   auto q = query::Parser::Parse(text, &xkg_.dict());
